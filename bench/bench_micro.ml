@@ -1,7 +1,8 @@
 (* Wall-clock micro-benchmarks (Bechamel) of the in-memory primitives, as a
    sanity layer under the simulated-time experiments: the three-layer PM
-   table lookup, the plain array-table lookup, the LZ codec, and the Bloom
-   filter. These measure real host nanoseconds, not simulated time. *)
+   table lookup and full decode, the plain array-table lookup, the LZ codec,
+   the Bloom filter and the CRC32 kernel every stored block is checked
+   with. These measure real host nanoseconds, not simulated time. *)
 
 open Bechamel
 open Toolkit
@@ -29,12 +30,18 @@ let tests () =
   let sample = String.concat "" (List.init 64 (fun i -> Printf.sprintf "key%06d=value" i)) in
   let compressed = Compress.Lz.compress sample in
   let bloom = Bloom.of_keys ~bits_per_key:10 (Array.to_list (Array.map (fun e -> e.Util.Kv.key) entries)) in
+  let fresh_bloom = Bloom.create ~bits_per_key:10 4096 in
+  let block_64 = Util.Xoshiro.string rng 64 and block_4k = Util.Xoshiro.string rng 4096 in
   [
     Test.make ~name:"pm_table.get" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ()))));
     Test.make ~name:"array_table.get" (Staged.stage (fun () -> ignore (Pmtable.Array_table.get arr_tbl (key ()))));
     Test.make ~name:"lz.compress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.compress sample)));
     Test.make ~name:"lz.decompress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.decompress compressed)));
     Test.make ~name:"bloom.mem" (Staged.stage (fun () -> ignore (Bloom.mem bloom (key ()))));
+    Test.make ~name:"bloom.add" (Staged.stage (fun () -> Bloom.add fresh_bloom (key ())));
+    Test.make ~name:"crc32-64B" (Staged.stage (fun () -> ignore (Util.Crc32.string block_64)));
+    Test.make ~name:"crc32-4KB" (Staged.stage (fun () -> ignore (Util.Crc32.string block_4k)));
+    Test.make ~name:"pm_table.to_list-4096" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.to_list pm_tbl)));
   ]
 
 let run () =

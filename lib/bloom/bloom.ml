@@ -7,18 +7,17 @@
 
 type t = { bits : Bytes.t; nbits : int; k : int }
 
-(* FNV-1a, then a murmur-style finalizer for the second hash. *)
+(* FNV-1a for the first hash, then a murmur-style finalizer of it for the
+   second — so one pass over the key yields both. *)
 let hash1 s =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x7fffffff)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.get s i)) * 0x01000193 land 0x7fffffff
+  done;
   !h
 
-let hash2 s =
-  let h = ref (hash1 s lxor 0x5bd1e995) in
+let hash2_of h1 =
+  let h = ref (h1 lxor 0x5bd1e995) in
   h := !h * 0xcc9e2d51 land 0x7fffffff;
   h := !h lxor (!h lsr 15);
   h := !h * 0x1b873593 land 0x7fffffff;
@@ -44,13 +43,15 @@ let get_bit t i =
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
 let add t key =
-  let h1 = hash1 key and h2 = hash2 key in
+  let h1 = hash1 key in
+  let h2 = hash2_of h1 in
   for i = 0 to t.k - 1 do
     set_bit t ((h1 + (i * h2)) mod t.nbits)
   done
 
 let mem t key =
-  let h1 = hash1 key and h2 = hash2 key in
+  let h1 = hash1 key in
+  let h2 = hash2_of h1 in
   let rec probe i = i >= t.k || (get_bit t ((h1 + (i * h2)) mod t.nbits) && probe (i + 1)) in
   probe 0
 

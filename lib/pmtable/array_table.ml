@@ -135,11 +135,9 @@ let read_data_sequential t =
 let iter t f =
   let data = read_data_sequential t in
   charge_cpu t.dev (float_of_int t.count *. decode_cpu_ns);
-  let pos = ref 0 in
+  let cur = Util.Cursor.create data 0 in
   for _ = 1 to t.count do
-    let e, next = Util.Kv.decode data !pos in
-    pos := next;
-    f e
+    f (Util.Kv.decode_from cur)
   done
 
 let to_list t =

@@ -34,7 +34,7 @@
    Integrity: every layer is checksummed. Each fixed-width prefix record
    carries an inline CRC32 (verified on every [read_record]); each group's
    entry-layer extent has a CRC32 in a dedicated layer that the handle
-   caches in DRAM (verified on every [read_group], costing no extra PM
+   caches in DRAM (verified on every group read, costing no extra PM
    access); the meta layer and the footer carry CRC32s verified at
    [open_existing] and re-checked from the medium by [verify] (scrub). A
    failed comparison raises [Integrity.Corrupted] so the engine can
@@ -192,12 +192,7 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
       let strip_len = String.length metas.(gp_meta).tag + gp_shared in
       Array.iter
         (fun (e : Util.Kv.entry) ->
-          let suffix = String.sub e.key strip_len (String.length e.key - strip_len) in
-          Util.Varint.write_string entry_layer suffix;
-          Util.Varint.write entry_layer e.seq;
-          Buffer.add_char entry_layer
-            (match e.kind with Util.Kv.Put -> '\001' | Delete -> '\000');
-          Util.Varint.write_string entry_layer e.value;
+          Util.Kv.encode ~strip:strip_len entry_layer e;
           payload := !payload + Util.Kv.encoded_size e;
           if e.seq < !min_seq then min_seq := e.seq;
           if e.seq > !max_seq then max_seq := e.seq)
@@ -266,19 +261,21 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
      covers it; bits_per_key = 0 keeps the byte-identical v1 layout. *)
   let bloom =
     if bloom_bits_per_key <= 0 then None
-    else
-      Some
-        (Bloom.of_keys ~bits_per_key:bloom_bits_per_key
-           (Array.to_list (Array.map (fun (e : Util.Kv.entry) -> e.key) entries)))
+    else begin
+      let b = Bloom.create ~bits_per_key:bloom_bits_per_key n in
+      Array.iter (fun (e : Util.Kv.entry) -> Bloom.add b e.key) entries;
+      Some b
+    end
   in
   (match bloom with
   | Some b -> Util.Varint.write_string meta_layer (Bloom.serialize b)
   | None -> ());
   (* 3. Allocate and write through the buffered builder; a fixed-width
      footer closes the region (see open_existing). *)
-  let entry_len = Buffer.length entry_layer in
+  let entry_len = String.length entry_str in
   let meta_off = entry_len + Buffer.length prefix_layer + Buffer.length gcrc_layer in
-  let meta_crc = Util.Crc32.string (Buffer.contents meta_layer) in
+  let meta_str = Buffer.contents meta_layer in
+  let meta_crc = Util.Crc32.string meta_str in
   let footer = Buffer.create footer_bytes in
   let add_u32 v =
     Buffer.add_char footer (Char.chr ((v lsr 24) land 0xff));
@@ -295,13 +292,13 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
   add_u32 (match bloom with Some _ -> magic_v2 | None -> magic);
   add_u32 (Util.Crc32.string (Buffer.contents footer));
   assert (Buffer.length footer = footer_bytes);
-  let total = meta_off + Buffer.length meta_layer + footer_bytes in
+  let total = meta_off + String.length meta_str + footer_bytes in
   let region = Pmem.alloc dev total in
   let builder = Builder.create dev region in
-  Builder.add_string builder (Buffer.contents entry_layer);
+  Builder.add_string builder entry_str;
   Builder.add_string builder (Buffer.contents prefix_layer);
   Builder.add_string builder (Buffer.contents gcrc_layer);
-  Builder.add_string builder (Buffer.contents meta_layer);
+  Builder.add_string builder meta_str;
   Builder.add_string builder (Buffer.contents footer);
   let written = Builder.finish builder in
   assert (written = total);
@@ -384,10 +381,10 @@ let group_extent t g record =
   in
   (record.offset, stop)
 
-(* Decode a group's entries, reconstructing full keys. The raw extent is
-   verified against the handle-cached group CRC first — one string pass, no
-   extra PM access — so a rotten group raises instead of decoding junk. *)
-let read_group t g record =
+(* A group's raw extent, verified against the handle-cached group CRC —
+   one string pass, no extra PM access — so a rotten group raises instead
+   of decoding junk. Charges the decode CPU of the whole group. *)
+let group_bytes t g record =
   let start, stop = group_extent t g record in
   let raw = Pmem.read t.dev t.region ~off:start ~len:(stop - start) in
   if !verify_checksums && Util.Crc32.string raw <> t.gcrcs.(g) then
@@ -395,15 +392,14 @@ let read_group t g record =
       (Integrity.Corrupted
          { region_id = Pmem.region_id t.region; layer = "entry"; index = g });
   charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
-  let prefix = group_prefix t record in
-  let pos = ref 0 in
-  Array.init record.count_ (fun _ ->
-      let suffix, p = Util.Varint.read_string raw !pos in
-      let seq, p = Util.Varint.read raw p in
-      let kind = if raw.[p] = '\000' then Util.Kv.Delete else Util.Kv.Put in
-      let value, p = Util.Varint.read_string raw (p + 1) in
-      pos := p;
-      { Util.Kv.key = prefix ^ suffix; seq; kind; value })
+  raw
+
+(* Decode a group's entries, reconstructing full keys. *)
+let read_group t g record =
+  let raw = group_bytes t g record in
+  let key_prefix = group_prefix t record in
+  let cur = Util.Cursor.create raw 0 in
+  Array.init record.count_ (fun _ -> Util.Kv.decode_from ~key_prefix cur)
 
 (* Reopen a table from its persisted region (after a restart or crash):
    the footer locates the layers, the meta layer restores the tag index and
@@ -544,8 +540,12 @@ let locate t ~g_lo ~g_hi ~probe_slot ~key =
     Some !lo
   end
 
+(* The first entry of group [g] with [key]: the same PM access, check and
+   charge as [read_group], but only the match is decoded. *)
 let find_in_group t g record key =
-  Array.find_opt (fun (e : Util.Kv.entry) -> e.key = key) (read_group t g record)
+  let raw = group_bytes t g record in
+  Util.Kv.find_from ~key_prefix:(group_prefix t record) (Util.Cursor.create raw 0)
+    ~count:record.count_ key
 
 let get_in_run t ~g_lo ~g_hi key tag =
   (* Version runs can spill across group boundaries: after the landing

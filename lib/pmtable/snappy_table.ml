@@ -131,11 +131,8 @@ let read_chunk t c =
   let members = members_of_mode t.mode in
   let lo = c * members in
   let count = min members (t.count - lo) in
-  let pos = ref 0 in
-  Array.init count (fun _ ->
-      let e, next = Util.Kv.decode raw !pos in
-      pos := next;
-      e)
+  let cur = Util.Cursor.create raw 0 in
+  Array.init count (fun _ -> Util.Kv.decode_from cur)
 
 (* Last chunk whose first entry <= probe (by entry order). Every probe pays
    a full chunk decompression — the cost Fig. 6b measures. *)

@@ -332,10 +332,9 @@ let locate_block t key =
 (* Decode and visit a block's entries; [f] may raise to stop early (the
    caller handles it), decode CPU is charged per entry actually decoded. *)
 let scan_block t data ~entries f =
-  let pos = ref 0 in
+  let cur = Util.Cursor.create data 0 in
   for _ = 1 to entries do
-    let e, next = Util.Kv.decode data !pos in
-    pos := next;
+    let e = Util.Kv.decode_from cur in
     charge_cpu t decode_cpu_ns;
     f e
   done

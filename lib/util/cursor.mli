@@ -1,0 +1,32 @@
+(** A moving read position over an encoded string. Decodes varints, bytes
+    and length-prefixed strings in place, without allocating a
+    [(value, next_pos)] pair per field. {!Varint.read} and
+    {!Kv.decode_from} build on it, so PM-table groups, SSTable blocks, WAL
+    replay and every meta block share one decoder. *)
+
+type t
+
+val create : string -> int -> t
+(** [create s pos] starts reading [s] at [pos]. *)
+
+val pos : t -> int
+(** Offset of the next unread byte. *)
+
+val varint : t -> int
+(** Decode a {!Varint}-encoded integer at the cursor. Raises [Failure] on
+    truncated or overlong input. *)
+
+val byte : t -> char
+(** Raises [Failure] at the end of the input. *)
+
+val string : ?prefix:string -> t -> string
+(** Decode a length-prefixed string; [prefix] (default empty) is prepended
+    in the same allocation. Raises [Failure] on truncated input. *)
+
+val skip_string : t -> unit
+(** Step over a length-prefixed string without copying it. *)
+
+val string_equals : t -> prefix:string -> string -> bool
+(** [string_equals c ~prefix key] reads a length-prefixed string [s], as
+    {!string} would, and tells whether [prefix ^ s = key] — without
+    building [prefix ^ s]. *)

@@ -28,19 +28,40 @@ let encoded_size e =
   + Varint.size (String.length e.value)
   + String.length e.value
 
-let encode buf e =
-  Varint.write_string buf e.key;
+let encode ?(strip = 0) buf e =
+  let key_len = String.length e.key - strip in
+  Varint.write buf key_len;
+  Buffer.add_substring buf e.key strip key_len;
   Varint.write buf e.seq;
   Buffer.add_char buf (match e.kind with Put -> '\001' | Delete -> '\000');
   Varint.write_string buf e.value
 
+(* The rest of an entry once its key has been read. *)
+let decode_tail c key =
+  let seq = Cursor.varint c in
+  let kind = if Cursor.byte c = '\000' then Delete else Put in
+  let value = Cursor.string c in
+  { key; seq; kind; value }
+
+let decode_from ?key_prefix c = decode_tail c (Cursor.string ?prefix:key_prefix c)
+
+let find_from ~key_prefix c ~count key =
+  let rec scan i =
+    if i >= count then None
+    else if Cursor.string_equals c ~prefix:key_prefix key then Some (decode_tail c key)
+    else begin
+      ignore (Cursor.varint c);
+      ignore (Cursor.byte c);
+      Cursor.skip_string c;
+      scan (i + 1)
+    end
+  in
+  scan 0
+
 let decode s pos =
-  let key, pos = Varint.read_string s pos in
-  let seq, pos = Varint.read s pos in
-  if pos >= String.length s then failwith "Kv.decode: truncated entry";
-  let kind = if s.[pos] = '\000' then Delete else Put in
-  let value, pos = Varint.read_string s (pos + 1) in
-  ({ key; seq; kind; value }, pos)
+  let c = Cursor.create s pos in
+  let e = decode_from c in
+  (e, Cursor.pos c)
 
 let pp_kind ppf = function
   | Put -> Fmt.string ppf "put"

@@ -16,8 +16,25 @@ val compare_entry : entry -> entry -> int
 
 val encoded_size : entry -> int
 
-val encode : Buffer.t -> entry -> unit
+val encode : ?strip:int -> Buffer.t -> entry -> unit
+(** Append the entry: varint key length, key, varint seq, kind byte,
+    varint value length, value. [strip] (default 0) leaves the first
+    [strip] bytes of the key out — the PM table's shared group prefix,
+    restored on decode by [key_prefix]. *)
+
 val decode : string -> int -> entry * int
+(** [decode s pos] decodes one entry at [pos], returning it with the offset
+    just past it. Raises [Failure] on truncated input. *)
+
+val decode_from : ?key_prefix:string -> Cursor.t -> entry
+(** Decode one entry at the cursor and advance past it. [key_prefix] is
+    prepended to the stored key (the PM table strips shared prefixes). *)
+
+val find_from : key_prefix:string -> Cursor.t -> count:int -> string -> entry option
+(** [find_from ~key_prefix c ~count key] scans up to [count] entries at
+    the cursor for the first whose key ([key_prefix] ^ stored key) is
+    [key], and decodes only that one: the other keys are compared in place
+    and their values skipped. *)
 
 val pp : entry Fmt.t
 val pp_kind : kind Fmt.t

@@ -12,20 +12,9 @@ let write buf v =
   Buffer.add_char buf (Char.chr !v)
 
 let read s pos =
-  let result = ref 0 in
-  let shift = ref 0 in
-  let pos = ref pos in
-  let continue = ref true in
-  while !continue do
-    if !pos >= String.length s then failwith "Varint.read: truncated input";
-    let byte = Char.code s.[!pos] in
-    incr pos;
-    result := !result lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if byte < 0x80 then continue := false
-    else if !shift > 62 then failwith "Varint.read: overflow"
-  done;
-  (!result, !pos)
+  let c = Cursor.create s pos in
+  let v = Cursor.varint c in
+  (v, Cursor.pos c)
 
 let size v =
   if v < 0 then invalid_arg "Varint.size: negative";
@@ -37,6 +26,6 @@ let write_string buf s =
   Buffer.add_string buf s
 
 let read_string s pos =
-  let len, pos = read s pos in
-  if pos + len > String.length s then failwith "Varint.read_string: truncated input";
-  (String.sub s pos len, pos + len)
+  let c = Cursor.create s pos in
+  let v = Cursor.string c in
+  (v, Cursor.pos c)

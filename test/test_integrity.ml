@@ -189,6 +189,69 @@ let test_scrubber_sees_manifest_rot () =
   check Alcotest.bool "newest slot flagged" true report.Core.Scrubber.manifest_rotted;
   check Alcotest.bool "report not clean" true (not (Core.Scrubber.clean report))
 
+(* --- Golden on-media bytes ---------------------------------------------- *)
+
+(* Digests of the bytes each codec stores for fixed seeded inputs: a
+   PM-table region, an SSTable file and a serialized Bloom filter. Any
+   change to the stored format or to a checksum kernel moves a digest, and
+   tables written by older builds would no longer reopen — so a mismatch
+   here is a format change, never something to re-pin silently. *)
+
+let golden_entries () =
+  let rng = Util.Xoshiro.create 1234 in
+  let record i =
+    Util.Kv.entry
+      ~key:(Util.Keys.record_key ~table_id:(i mod 3) ~row_id:(i * 7))
+      ~seq:(i + 1)
+      (Util.Xoshiro.string rng (1 + Util.Xoshiro.int rng 300))
+  in
+  let index i =
+    Util.Kv.entry
+      ~key:
+        (Util.Keys.index_key ~table_id:5 ~index_id:2
+           ~column:(Printf.sprintf "city-%02d" (i mod 11)) ~row_id:i)
+      ~seq:(1000 + i)
+      (Util.Xoshiro.string rng 8)
+  in
+  let ycsb i =
+    if i mod 13 = 0 then Util.Kv.tombstone ~key:(Util.Keys.ycsb_key i) ~seq:(2000 + i)
+    else
+      Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(2000 + i)
+        (Util.Xoshiro.string rng (Util.Xoshiro.int rng 40))
+  in
+  (* Version pileup: one key with more versions than a group holds. *)
+  let pileup v =
+    Util.Kv.entry ~key:(Util.Keys.record_key ~table_id:1 ~row_id:77) ~seq:(3000 + v)
+      (Printf.sprintf "version-%d" v)
+  in
+  let entries =
+    Array.concat
+      [ Array.init 150 record; Array.init 60 index; Array.init 90 ycsb; Array.init 20 pileup ]
+  in
+  Array.sort Util.Kv.compare_entry entries;
+  entries
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let test_golden_pm_table_region () =
+  let pm = Pmem.create (Sim.Clock.create ()) in
+  let tbl = Pmtable.Pm_table.build pm (golden_entries ()) in
+  let region = Option.get (Pmem.find_region pm (Pmtable.Pm_table.region_id tbl)) in
+  let bytes = Pmem.unsafe_peek region ~off:0 ~len:(Pmem.region_len region) in
+  check Alcotest.string "pm table region digest" "795c3a602871217430d579c61e2d7be5" (digest bytes)
+
+let test_golden_sstable_file () =
+  let ssd = Ssd.create (Sim.Clock.create ()) in
+  let tbl = Sstable.build ~block_bytes:1024 ssd (golden_entries ()) in
+  let file = Option.get (Ssd.find_file ssd (Sstable.file_id tbl)) in
+  let bytes = Ssd.pread ssd file ~off:0 ~len:(Ssd.file_size file) in
+  check Alcotest.string "sstable file digest" "19bc049c800b3ec9260460bcd04991e1" (digest bytes)
+
+let test_golden_bloom () =
+  let keys = Array.to_list (Array.map (fun (e : Util.Kv.entry) -> e.key) (golden_entries ())) in
+  let bloom = Bloom.of_keys ~bits_per_key:10 keys in
+  check Alcotest.string "bloom digest" "cb24c03e954dc897740c41af55433d42" (digest (Bloom.serialize bloom))
+
 (* --- Corruption sweep ------------------------------------------------------- *)
 
 let sweep_config points =
@@ -244,6 +307,12 @@ let () =
         [
           Alcotest.test_case "wal rot" `Quick test_scrubber_sees_wal_rot;
           Alcotest.test_case "manifest rot" `Quick test_scrubber_sees_manifest_rot;
+        ] );
+      ( "golden bytes",
+        [
+          Alcotest.test_case "pm table region" `Quick test_golden_pm_table_region;
+          Alcotest.test_case "sstable file" `Quick test_golden_sstable_file;
+          Alcotest.test_case "bloom filter" `Quick test_golden_bloom;
         ] );
       ( "sweep",
         [

@@ -189,10 +189,79 @@ let prop_crc32_incremental =
   QCheck.Test.make ~name:"crc of concatenation via update" ~count:200
     QCheck.(pair string string)
     (fun (a, b) ->
-      (* update is not a streaming API across calls (it finalises), so
-         check it honours pos/len slicing instead. *)
+      (* update honours pos/len slicing (chaining is prop_crc32_chains). *)
       let s = a ^ b in
       Util.Crc32.update 0 s 0 (String.length a) = Util.Crc32.string a)
+
+(* Differential check of the slicing-by-8 kernel against the textbook
+   byte-at-a-time CRC it replaced, kept here as the reference: every start
+   offset 0-7 and every length 0-70 (each unaligned head and tail of the
+   8-byte loop), plus one run longer than 64 KiB, over seeded random bytes. *)
+let reference_crc32 =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  fun crc s pos len ->
+    let crc = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+    done;
+    !crc lxor 0xFFFFFFFF
+
+let random_bytes rng n = String.init n (fun _ -> Char.chr (Util.Xoshiro.int rng 256))
+
+let test_crc32_matches_reference () =
+  let rng = Util.Xoshiro.create 2024 in
+  let s = random_bytes rng 256 in
+  for pos = 0 to 7 do
+    for len = 0 to 70 do
+      let seed = if len mod 3 = 0 then 0 else Util.Crc32.string (random_bytes rng 5) in
+      check Alcotest.int
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (reference_crc32 seed s pos len)
+        (Util.Crc32.update seed s pos len)
+    done
+  done;
+  let big = random_bytes rng ((64 * 1024) + 13) in
+  check Alcotest.int "64 KiB + 13" (reference_crc32 0 big 0 (String.length big))
+    (Util.Crc32.string big);
+  check Alcotest.int "64 KiB unaligned slice"
+    (reference_crc32 0 big 3 (String.length big - 8))
+    (Util.Crc32.update 0 big 3 (String.length big - 8))
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"slicing-by-8 = byte-at-a-time" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 200)) small_nat)
+    (fun (s, cut) ->
+      let pos = cut mod (String.length s + 1) in
+      let len = String.length s - pos in
+      Util.Crc32.update 0 s pos len = reference_crc32 0 s pos len
+      && Util.Crc32.string s = reference_crc32 0 s 0 (String.length s))
+
+(* Feeding a previous result back in continues the checksum. *)
+let prop_crc32_chains =
+  QCheck.Test.make ~name:"update chains across calls" ~count:200
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Util.Crc32.update (Util.Crc32.string a) b 0 (String.length b)
+      = Util.Crc32.string (a ^ b))
+
+let test_crc32_rejects_bad_range () =
+  let raises name f =
+    check Alcotest.bool name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let s = "0123456789" in
+  raises "negative len" (fun () -> Util.Crc32.update 0 s 0 (-1));
+  raises "negative pos" (fun () -> Util.Crc32.update 0 s (-1) 2);
+  raises "past the end" (fun () -> Util.Crc32.update 0 s 4 7);
+  raises "pos past the end" (fun () -> Util.Crc32.update 0 s 11 0);
+  check Alcotest.int "empty range at the end" 0 (Util.Crc32.update 0 s 10 0)
 
 (* --- Histogram ---------------------------------------------------------- *)
 
@@ -335,6 +404,69 @@ let test_kv_order_key_major () =
   let b = Util.Kv.entry ~key:"b" ~seq:999 "" in
   check Alcotest.bool "key dominates" true (Util.Kv.compare_entry a b < 0)
 
+(* A run of entries stored with a shared key prefix stripped, as the PM
+   table stores a group: the cursor decoders must rebuild every full key. *)
+let prefixed_run_arb =
+  QCheck.make
+    ~print:(fun (prefix, es, _) ->
+      Printf.sprintf "prefix=%S entries=[%s]" prefix
+        (String.concat "; " (List.map (Fmt.to_to_string Util.Kv.pp) es)))
+    QCheck.Gen.(
+      triple (string_size (int_range 0 6)) (list_size (int_range 1 12) entry_gen) small_nat)
+
+let encode_all ?strip es =
+  let buf = Buffer.create 256 in
+  List.iter (Util.Kv.encode ?strip buf) es;
+  Buffer.contents buf
+
+let with_prefix prefix es =
+  List.map (fun (e : Util.Kv.entry) -> { e with key = prefix ^ e.key }) es
+
+let prop_kv_decode_from_prefix =
+  QCheck.Test.make ~name:"encode ~strip / decode_from ~key_prefix roundtrip" ~count:300
+    prefixed_run_arb (fun (prefix, es, _) ->
+      let full = with_prefix prefix es in
+      let raw = encode_all ~strip:(String.length prefix) full in
+      let cur = Util.Cursor.create raw 0 in
+      let decoded = List.map (fun _ -> Util.Kv.decode_from ~key_prefix:prefix cur) es in
+      raw = encode_all es && decoded = full && Util.Cursor.pos cur = String.length raw)
+
+let prop_kv_find_from =
+  QCheck.Test.make ~name:"find_from = first decoded match" ~count:300 prefixed_run_arb
+    (fun (prefix, es, pick) ->
+      let raw = encode_all es in
+      let full = with_prefix prefix es in
+      let probe =
+        if pick mod 4 = 3 then prefix ^ "absent\255"
+        else (List.nth full (pick mod List.length full)).key
+      in
+      Util.Kv.find_from ~key_prefix:prefix (Util.Cursor.create raw 0)
+        ~count:(List.length es) probe
+      = List.find_opt (fun (e : Util.Kv.entry) -> e.key = probe) full)
+
+(* A length varint that decodes to a negative int (bit 62 set) is
+   malformed input, not a string length. *)
+let test_negative_length_rejected () =
+  let raw = "\x80\x80\x80\x80\x80\x80\x80\x80\x40rest" in
+  check Alcotest.bool "decodes negative" true (fst (Util.Varint.read raw 0) < 0);
+  let fails f = match f () with _ -> false | exception Failure _ -> true in
+  check Alcotest.bool "read_string" true (fails (fun () -> Util.Varint.read_string raw 0));
+  check Alcotest.bool "Kv.decode" true (fails (fun () -> Util.Kv.decode raw 0));
+  check Alcotest.bool "find_from" true
+    (fails (fun () ->
+         Util.Kv.find_from ~key_prefix:"" (Util.Cursor.create raw 0) ~count:1 "k"))
+
+let test_kv_decode_truncated () =
+  let raw = encode_all [ Util.Kv.entry ~key:"key-0001" ~seq:300 (String.make 200 'v') ] in
+  for len = 0 to String.length raw - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "truncated at %d raises" len)
+      true
+      (match Util.Kv.decode (String.sub raw 0 len) 0 with
+      | _ -> false
+      | exception Failure _ -> true)
+  done
+
 (* --- Keys ----------------------------------------------------------------- *)
 
 let test_keys_fixed_int () =
@@ -405,6 +537,12 @@ let () =
           Alcotest.test_case "detects bit flip" `Quick test_crc32_detects_flip;
           qtest prop_crc32_incremental;
           qtest prop_crc32_single_bit_flip;
+          Alcotest.test_case "matches byte-at-a-time reference" `Quick
+            test_crc32_matches_reference;
+          qtest prop_crc32_matches_reference;
+          qtest prop_crc32_chains;
+          Alcotest.test_case "rejects out-of-range pos/len" `Quick
+            test_crc32_rejects_bad_range;
         ] );
       ( "histogram",
         [
@@ -423,6 +561,10 @@ let () =
           qtest prop_kv_roundtrip;
           qtest prop_kv_order_newest_first;
           Alcotest.test_case "key-major order" `Quick test_kv_order_key_major;
+          qtest prop_kv_decode_from_prefix;
+          qtest prop_kv_find_from;
+          Alcotest.test_case "truncated entry raises" `Quick test_kv_decode_truncated;
+          Alcotest.test_case "negative length rejected" `Quick test_negative_length_rejected;
         ] );
       ( "keys",
         [
