@@ -1,8 +1,10 @@
 (* Wall-clock micro-benchmarks (Bechamel) of the in-memory primitives, as a
    sanity layer under the simulated-time experiments: the three-layer PM
-   table lookup and full decode, the plain array-table lookup, the LZ codec,
-   the Bloom filter and the CRC32 kernel every stored block is checked
-   with. These measure real host nanoseconds, not simulated time. *)
+   table lookup (64 B values, and 1 KB values whose ~8 KB groups are probed
+   repeatedly, the case the verification memo serves) and full decode, the
+   plain array-table lookup, the SSTable point lookup, the LZ codec, the
+   Bloom filter and the CRC32 kernel every stored block is checked with.
+   These measure real host nanoseconds, not simulated time. *)
 
 open Bechamel
 open Toolkit
@@ -23,8 +25,27 @@ let make_pm_fixture () =
   let arr_tbl = Pmtable.Array_table.build pm entries in
   (entries, pm_tbl, arr_tbl)
 
+(* 1 KB values: each group of 8 spans ~8 KB; 16 hot keys are probed over
+   and over, as a zipfian workload re-reads its hot groups. *)
+let make_hot_fixture () =
+  let clock = Sim.Clock.create () in
+  let pm = Pmem.create ~params:{ Pmem.default_params with capacity = 64 * 1024 * 1024 } clock in
+  let rng = Util.Xoshiro.create 23 in
+  let entries =
+    Array.init 1024 (fun i ->
+        Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (Util.Xoshiro.string rng 1024))
+  in
+  let hot = Array.init 16 (fun i -> entries.(i * 61).Util.Kv.key) in
+  (Pmtable.Pm_table.build pm entries, hot)
+
+let make_sstable_fixture entries =
+  let ssd = Ssd.create (Sim.Clock.create ()) in
+  Sstable.build ssd entries
+
 let tests () =
   let entries, pm_tbl, arr_tbl = make_pm_fixture () in
+  let hot_tbl, hot = make_hot_fixture () in
+  let sst = make_sstable_fixture entries in
   let rng = Util.Xoshiro.create 17 in
   let key () = entries.(Util.Xoshiro.int rng 4096).Util.Kv.key in
   let sample = String.concat "" (List.init 64 (fun i -> Printf.sprintf "key%06d=value" i)) in
@@ -34,6 +55,8 @@ let tests () =
   let block_64 = Util.Xoshiro.string rng 64 and block_4k = Util.Xoshiro.string rng 4096 in
   [
     Test.make ~name:"pm_table.get" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ()))));
+    Test.make ~name:"pm_table.get-1KB" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get hot_tbl hot.(Util.Xoshiro.int rng 16))));
+    Test.make ~name:"sstable.get" (Staged.stage (fun () -> ignore (Sstable.get sst (key ()))));
     Test.make ~name:"array_table.get" (Staged.stage (fun () -> ignore (Pmtable.Array_table.get arr_tbl (key ()))));
     Test.make ~name:"lz.compress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.compress sample)));
     Test.make ~name:"lz.decompress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.decompress compressed)));

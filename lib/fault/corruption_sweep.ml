@@ -5,10 +5,17 @@
    compaction for SSTables, a manifest persist for the superblock), then
    injects one seeded corruption and demands the stack answers for it:
 
-   - PM table / SSTable points scrub live: the damage must show up in the
-     scrub report (else "undetected-corruption"), and after the salvage
-     every surviving read must be exact, typed-degraded, or covered by a
-     recorded lost range — never silently wrong, never a crash.
+   - PM table / SSTable points read every golden key back before the rot
+     lands, so the victim's checksums have already passed once (and the
+     read path's verification memo holds them). After the injection every
+     foreground read must be exact, typed-degraded, or covered by a range
+     those reads quarantined — a memo that skipped the re-check would
+     serve the rotten bytes here. Then they scrub live: the damage must
+     show up in the scrub report or have been quarantined by the
+     foreground reads (else "undetected-corruption"), and after the
+     salvage every surviving read must be exact, typed-degraded, or
+     covered by a recorded lost range — never silently wrong, never a
+     crash.
    - WAL / manifest points verify live (the scrubber walks the log and
      trial-loads the manifest), then pull the plug and recover: recovery
      must survive the rot — skipping and counting bad WAL records, falling
@@ -115,6 +122,28 @@ let detected_in (scrub : Core.Scrubber.report) = function
       | None -> false)
   | Plan.Manifest_bytes -> scrub.manifest_rotted
 
+let is_table_target = function
+  | Plan.Pm_table_bytes | Plan.Sstable_bytes -> true
+  | Plan.Wal_bytes | Plan.Manifest_bytes -> false
+
+(* Did a foreground read already quarantine the victim structure? A
+   quarantined structure leaves the live set the scrub walks. Victims read
+   "pm_region:3 off=117 len=1" or "ssd_file:8 off=..." (see Plan). *)
+let quarantined_by_reads engine victim =
+  let structure =
+    match String.index_opt victim ' ' with
+    | Some i -> String.sub victim 0 i
+    | None -> victim
+  in
+  List.exists
+    (fun (q : Core.Manifest.quarantine) ->
+      structure
+      =
+      match q.source with
+      | Core.Manifest.Q_region id -> Printf.sprintf "pm_region:%d" id
+      | Core.Manifest.Q_file id -> Printf.sprintf "ssd_file:%d" id)
+    (Core.Engine.quarantined engine)
+
 let run_point ?stats (cfg : config) index =
   let target =
     [| Plan.Pm_table_bytes; Sstable_bytes; Wal_bytes; Manifest_bytes |].(index mod 4)
@@ -125,6 +154,11 @@ let run_point ?stats (cfg : config) index =
   let golden = Golden.create () in
   run_workload cfg golden engine;
   stage engine target;
+  (* Read-before-rot: every golden key is served (and its checksums pass)
+     before the damage lands. *)
+  let read_back =
+    if is_table_target target then Checker.check_corruption golden engine else []
+  in
   let plan = Plan.create ?stats (cfg.seed + (7919 * index)) in
   match
     Plan.inject_corruption plan ~pm ~ssd ?wal:(Core.Engine.wal engine) ~target
@@ -141,10 +175,15 @@ let run_point ?stats (cfg : config) index =
         violations = [];
       }
   | Some c ->
-      (* Live pass first: the scrubber must see the damage on every leg. *)
+      (* Foreground reads over the rot, before any scrub has looked. *)
+      let live_reads =
+        if is_table_target target then Checker.check_corruption golden engine else []
+      in
+      let caught_live = quarantined_by_reads engine c.Plan.victim in
+      (* Then the scrubber must see the damage on every leg. *)
       let scrub = Core.Scrubber.run engine in
       let undetected =
-        if detected_in scrub target then []
+        if caught_live || detected_in scrub target then []
         else
           [
             {
@@ -193,7 +232,8 @@ let run_point ?stats (cfg : config) index =
         (* every leg runs sanitized: ordering findings count as violations
            here too (see Crash_sweep.sanitizer_violations) *)
         violations =
-          undetected @ violations @ Crash_sweep.sanitizer_violations pm;
+          read_back @ live_reads @ undetected @ violations
+          @ Crash_sweep.sanitizer_violations pm;
       }
 
 let sweep ?stats ?progress (cfg : config) =

@@ -4,9 +4,13 @@
     store so the target structure exists, injects one seeded corruption
     ({!Plan.inject_corruption}) cycling over the four targets and both
     damage modes, and demands the stack answers for it. PM-table and
-    SSTable points are scrubbed live: the damage must appear in the scrub
-    report and the salvaged engine must serve only exact, typed-degraded,
-    or recorded-lost answers. WAL and manifest points additionally pull
+    SSTable points read every golden key back before the injection and
+    again after it, before any scrub: those foreground reads must be
+    exact, typed-degraded, or inside a range they quarantined. Then the
+    points are scrubbed live: the damage must appear in the scrub report
+    (or have been quarantined by the foreground reads) and the salvaged
+    engine must serve only exact, typed-degraded, or recorded-lost
+    answers. WAL and manifest points additionally pull
     the plug and recover: recovery must survive — skipping and counting
     corrupt WAL records, falling back to the previous manifest slot — and
     the recovered engine is held to the same no-crash /
@@ -41,7 +45,9 @@ type point = {
   mode : Plan.corruption_mode;
   victim : string option;
       (** [None]: no eligible victim existed and the point was skipped *)
-  detected : bool;  (** the live scrub saw the damage *)
+  detected : bool;
+      (** the live scrub saw the damage, or a foreground read quarantined
+          the victim first *)
   recovered : bool;  (** recovery survived (always true on live-only legs) *)
   violations : Checker.violation list;
 }

@@ -74,6 +74,10 @@ type region = {
   mutable live : bool;
   mutable durable_upto : int;  (* bytes [0, durable_upto) survived the last flush *)
   mutable shadow : Bytes.t option;  (* durable image, materialised lazily on crash tests *)
+  (* bumped by every change to [buf]: [write], [crash]'s revert and
+     [corrupt_region] are the only paths that touch the bytes ([region] is
+     abstract), so readers can memoize a checksum per generation *)
+  mutable gen : int;
 }
 
 (* Fault-injection hook points (lib/fault arms these): the flush hook can
@@ -148,7 +152,15 @@ let alloc t len =
   if len < 0 then invalid_arg "Pmem.alloc: negative length";
   if len > available t then raise (Out_of_space { requested = len; available = available t });
   let region =
-    { id = t.next_id; buf = Bytes.create len; len; live = true; durable_upto = 0; shadow = None }
+    {
+      id = t.next_id;
+      buf = Bytes.create len;
+      len;
+      live = true;
+      durable_upto = 0;
+      shadow = None;
+      gen = 0;
+    }
   in
   if t.crash_mode then region.shadow <- Some (Bytes.create len);
   t.next_id <- t.next_id + 1;
@@ -177,6 +189,7 @@ let free t region =
 
 let region_len region = region.len
 let region_id region = region.id
+let generation region = region.gen
 
 let find_region t id = List.find_opt (fun r -> r.id = id) t.regions
 
@@ -228,7 +241,8 @@ let write t region ~off src =
   (match t.san with
   | Some san -> Sanitize.Pmsan.on_write san ~id:region.id ~off ~len
   | None -> ());
-  Bytes.blit_string src 0 region.buf off len
+  Bytes.blit_string src 0 region.buf off len;
+  region.gen <- region.gen + 1
 
 let flush t region ~off ~len =
   check_bounds "Pmem.flush" region off len;
@@ -292,7 +306,9 @@ let crash t =
   List.iter
     (fun region ->
       match region.shadow with
-      | Some shadow -> Bytes.blit shadow 0 region.buf 0 region.len
+      | Some shadow ->
+          Bytes.blit shadow 0 region.buf 0 region.len;
+          region.gen <- region.gen + 1
       | None -> ())
     t.regions;
   (* Every region reverted to its durable image: nothing is outstanding in
@@ -329,6 +345,7 @@ let corrupt_region ?(len = 1) ?(mode = `Flip) _t region ~off =
     | `Zero -> Bytes.fill buf off len '\000'
   in
   damage region.buf;
+  region.gen <- region.gen + 1;
   match region.shadow with Some shadow -> damage shadow | None -> ()
 
 (* Stable dotted metric names for the registry exporters; every readout

@@ -59,6 +59,14 @@ val region_id : region -> int
 (** Stable identifier, usable in a manifest to relocate the region after a
     restart. *)
 
+val generation : region -> int
+(** Counter bumped by every change to the region's bytes: {!write},
+    {!crash}'s revert (resurrected regions included) and {!corrupt_region}
+    — the only paths that modify them, since [region] is abstract. Reads,
+    {!flush} and {!drain} leave it alone. Equal generations mean equal
+    bytes, so a reader may skip re-checking a checksum that passed at the
+    current generation. *)
+
 val find_region : t -> int -> region option
 val live_regions : t -> region list
 (** Live regions in allocation order. *)

@@ -32,16 +32,25 @@
    still equals the probe's (version runs can cross group boundaries).
 
    Integrity: every layer is checksummed. Each fixed-width prefix record
-   carries an inline CRC32 (verified on every [read_record]); each group's
+   carries an inline CRC32 (verified by [read_record]); each group's
    entry-layer extent has a CRC32 in a dedicated layer that the handle
-   caches in DRAM (verified on every group read, costing no extra PM
+   caches in DRAM (verified by every group read, costing no extra PM
    access); the meta layer and the footer carry CRC32s verified at
    [open_existing] and re-checked from the medium by [verify] (scrub). A
    failed comparison raises [Integrity.Corrupted] so the engine can
    quarantine the region instead of serving garbage. The only unverified
    read is [read_first_key]'s tie-break peek — it never feeds served data
    (the group read that follows is verified); rot there is caught by the
-   next scrub. *)
+   next scrub.
+
+   Verification memo: the handle remembers, per prefix record and per
+   group, the region generation ({!Pmem.generation}) at which that item
+   last passed its CRC. Every change to the region's bytes bumps the
+   generation, so an item whose stored generation is current holds the
+   very bytes that passed, and a recomputed CRC could only pass again;
+   the read path skips it. The PM read itself (its charge, its sanitizer
+   hook, its bytes) is unchanged — the memo saves host CPU only. [verify]
+   clears the memo first, so scrub recomputes every CRC from the medium. *)
 
 type meta = { tag : string; g_lo : int; g_hi : int }
 
@@ -58,6 +67,8 @@ type t = {
   meta_off : int;    (* start of the meta layer *)
   metas : meta array;  (* handle-side cache of the meta layer *)
   gcrcs : int array;   (* handle-side cache of the per-group entry CRCs *)
+  record_gens : int array;  (* memo: generation of each record's last passing check *)
+  group_gens : int array;   (* memo: generation of each group's last passing check *)
   meta_crc : int;
   min_key : string;
   max_key : string;
@@ -315,6 +326,8 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     meta_off;
     metas;
     gcrcs;
+    record_gens = Array.make (Array.length groups) (-1);
+    group_gens = Array.make (Array.length groups) (-1);
     meta_crc;
     min_key = entries.(0).key;
     max_key = entries.(n - 1).key;
@@ -335,18 +348,23 @@ let group_count t = t.group_count
 
 type record = { slot : string; offset : int; count_ : int; shared : int; meta_idx : int }
 
+(* Must item [i] of [memo] have its CRC computed? Not while checks are off,
+   nor when it already passed at the region's current generation. *)
+let needs_check t memo i = !verify_checksums && memo.(i) <> Pmem.generation t.region
+let passed t memo i = memo.(i) <- Pmem.generation t.region
+
 (* One PM access: the fixed-width prefix-layer record of group [g],
-   verified against its inline CRC. *)
+   verified against its inline CRC (once per region generation). *)
 let read_record t g =
   let w = record_width t in
   let raw = Pmem.read t.dev t.region ~off:(t.prefix_off + (g * w)) ~len:w in
-  if
-    !verify_checksums
-    && Builder.read_u32 raw (w - 4) <> Util.Crc32.update 0 raw 0 (w - 4)
-  then
-    raise
-      (Integrity.Corrupted
-         { region_id = Pmem.region_id t.region; layer = "prefix"; index = g });
+  if needs_check t t.record_gens g then begin
+    if Builder.read_u32 raw (w - 4) <> Util.Crc32.update 0 raw 0 (w - 4) then
+      raise
+        (Integrity.Corrupted
+           { region_id = Pmem.region_id t.region; layer = "prefix"; index = g });
+    passed t t.record_gens g
+  end;
   {
     slot = String.sub raw 0 t.prefix_len;
     offset = Builder.read_u32 raw t.prefix_len;
@@ -382,15 +400,19 @@ let group_extent t g record =
   (record.offset, stop)
 
 (* A group's raw extent, verified against the handle-cached group CRC —
-   one string pass, no extra PM access — so a rotten group raises instead
-   of decoding junk. Charges the decode CPU of the whole group. *)
+   one string pass, no extra PM access, once per region generation — so a
+   rotten group raises instead of decoding junk. Charges the decode CPU of
+   the whole group. *)
 let group_bytes t g record =
   let start, stop = group_extent t g record in
   let raw = Pmem.read t.dev t.region ~off:start ~len:(stop - start) in
-  if !verify_checksums && Util.Crc32.string raw <> t.gcrcs.(g) then
-    raise
-      (Integrity.Corrupted
-         { region_id = Pmem.region_id t.region; layer = "entry"; index = g });
+  if needs_check t t.group_gens g then begin
+    if Util.Crc32.string raw <> t.gcrcs.(g) then
+      raise
+        (Integrity.Corrupted
+           { region_id = Pmem.region_id t.region; layer = "entry"; index = g });
+    passed t t.group_gens g
+  end;
   charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
   raw
 
@@ -473,6 +495,8 @@ let open_existing dev region =
       meta_off;
       metas;
       gcrcs;
+      record_gens = Array.make group_count (-1);
+      group_gens = Array.make group_count (-1);
       meta_crc;
       min_key = "";
       max_key = "";
@@ -647,11 +671,14 @@ let range t ~start ~stop f =
 
 (* Full checksum walk from the medium (scrub). The footer and meta layer
    are re-read from PM — the handle's DRAM copies can outlive rot in the
-   persisted bytes — then every prefix record and group extent is checked.
-   Returns (layer, group index) per failure, empty when clean. *)
+   persisted bytes — then, with the verification memo cleared, every
+   prefix record and group extent is checked. Returns (layer, group index)
+   per failure, empty when clean. *)
 let verify t =
   if not !verify_checksums then []
   else begin
+    Array.fill t.record_gens 0 t.group_count (-1);
+    Array.fill t.group_gens 0 t.group_count (-1);
     let bad = ref [] in
     let note layer index = bad := (layer, index) :: !bad in
     let len = Pmem.region_len t.region in

@@ -76,10 +76,14 @@ val region_id : t -> int
     every probe), per-group entry-extent CRC32s cached in the handle
     (verified on every group read at no extra PM access), and meta/footer
     CRC32s (verified at {!open_existing} and by {!verify}). A failed
-    comparison on the read path raises [Integrity.Corrupted]. *)
+    comparison on the read path raises [Integrity.Corrupted]. The handle
+    memoizes, per record and per group, the {!Pmem.generation} of the last
+    passing check and skips re-checking bytes that have not changed since:
+    every read that would raise still raises. *)
 
 val verify : t -> (string * int) list
-(** Full checksum walk, re-reading footer and meta from the medium: returns
+(** Full checksum walk, re-reading footer and meta from the medium and
+    clearing the verification memo so every CRC is recomputed: returns
     [(layer, group index)] per failure, [[]] when clean (and always [[]]
     while {!verify_checksums} is off). *)
 

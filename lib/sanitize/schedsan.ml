@@ -24,7 +24,8 @@ let vc_join (dst : vc) (src : vc) =
 
 type task = { tid : int; tname : string; vc : vc }
 
-type access = { a_tid : int; a_vc : vc; a_site : string; a_name : string }
+(* [a_stack] is symbolized only when the access is reported in a race. *)
+type access = { a_tid : int; a_vc : vc; a_stack : Printexc.raw_backtrace; a_name : string }
 
 type varstate = {
   mutable last_write : access option;
@@ -106,7 +107,8 @@ let race t ~kind ~var ~(prev : access) ~(now : access) =
       ~detail:
         (Printf.sprintf
            "'%s': task %d (%s) and task %d (%s) access it unsynchronized" var
-           prev.a_tid prev.a_site now.a_tid now.a_site)
+           prev.a_tid (Site.resolve prev.a_stack) now.a_tid
+           (Site.resolve now.a_stack))
   end
 
 let var_state t name =
@@ -118,7 +120,7 @@ let var_state t name =
       vs
 
 let access_of task name =
-  { a_tid = task.tid; a_vc = Hashtbl.copy task.vc; a_site = Site.capture ();
+  { a_tid = task.tid; a_vc = Hashtbl.copy task.vc; a_stack = Site.stack ();
     a_name = name }
 
 let write t name =

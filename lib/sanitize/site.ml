@@ -13,8 +13,9 @@ let internal_files =
     "camlinternalLazy.ml" (* lazy-captured sites force under Lazy.force *);
   ]
 
-let capture () =
-  let bt = Printexc.get_callstack 16 in
+let stack () = Printexc.get_callstack 16
+
+let resolve bt =
   match Printexc.backtrace_slots bt with
   | None -> "<no-debug-info>"
   | Some slots ->
@@ -33,3 +34,5 @@ let capture () =
            slots
        with Exit -> ());
       !best
+
+let capture () = resolve (stack ())

@@ -3,3 +3,10 @@
     Placeholder strings when debug info is unavailable. *)
 
 val capture : unit -> string
+
+val stack : unit -> Printexc.raw_backtrace
+(** The raw call stack, unsymbolized: cheap enough to keep on every
+    access, for {!resolve} to name later, and only if it is reported. *)
+
+val resolve : Printexc.raw_backtrace -> string
+(** [resolve (stack ())] is [capture ()]. *)

@@ -68,6 +68,10 @@ type file = {
   (* bytes guaranteed to survive a crash; advanced by fsync/seal, enforced
      by [crash] when crash mode is on *)
   mutable durable_len : int;
+  (* bumped by every change to [data]: [append], [crash]'s truncation and
+     [corrupt_file] are the only paths that touch the bytes ([file] is
+     abstract), so readers can memoize a checksum per generation *)
+  mutable gen : int;
 }
 
 type op = Read | Write
@@ -216,7 +220,7 @@ let set_fsync_hook t hook = t.fsync_hook <- hook
 
 let create_file t =
   let file =
-    { id = t.next_file; data = Buffer.create 4096; closed = false; durable_len = 0 }
+    { id = t.next_file; data = Buffer.create 4096; closed = false; durable_len = 0; gen = 0 }
   in
   t.next_file <- t.next_file + 1;
   Hashtbl.replace t.files file.id file;
@@ -225,6 +229,7 @@ let create_file t =
 let file_id file = file.id
 let file_size file = Buffer.length file.data
 let durable_size file = file.durable_len
+let generation file = file.gen
 
 let delete_file t file =
   Hashtbl.remove t.files file.id;
@@ -263,6 +268,7 @@ let crash ?(keep = fun ~file_id:_ ~durable:_ ~size:_ -> 0) t =
           let surviving = Buffer.sub file.data 0 cut in
           Buffer.clear file.data;
           Buffer.add_string file.data surviving;
+          file.gen <- file.gen + 1;
           (* whatever survived the power cut is on the medium now *)
           file.durable_len <- cut
         end)
@@ -289,7 +295,8 @@ let append t file data =
       | Io_ok -> ()
       | Io_fail -> raise (Io_error { op = Write; file_id = file.id })
       | Io_slow mult -> ignore (slow_extra t Write dt mult)));
-  Buffer.add_string file.data data
+  Buffer.add_string file.data data;
+  file.gen <- file.gen + 1
 
 (* Flush/FUA barrier: everything appended so far is durable afterwards.
    The fsync hook can swallow the barrier (sync loss), stall it (stuck-slow
@@ -333,7 +340,8 @@ let corrupt_file ?(len = 1) ?(mode = `Flip) t file ~off =
       done
   | `Zero -> Bytes.fill raw off len '\000');
   Buffer.clear file.data;
-  Buffer.add_bytes file.data raw
+  Buffer.add_bytes file.data raw;
+  file.gen <- file.gen + 1
 
 let pread t file ~off ~len =
   let size = Buffer.length file.data in

@@ -73,6 +73,13 @@ val durable_size : file -> int
 (** Bytes guaranteed to survive a crash (advanced by {!fsync} and {!seal};
     only enforced by {!crash} in crash mode). *)
 
+val generation : file -> int
+(** Counter bumped by every change to the file's bytes: {!append},
+    {!crash}'s truncation and {!corrupt_file} — the only paths that modify
+    them, since [file] is abstract. Reads, {!fsync} and {!seal} leave it
+    alone. Equal generations mean equal bytes, so a reader may skip
+    re-checking a checksum that passed at the current generation. *)
+
 val delete_file : t -> file -> unit
 (** In crash mode the file moves to a graveyard instead of vanishing: a
     delete is directory metadata, so until the next {!crash} the durable

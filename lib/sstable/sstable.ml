@@ -9,7 +9,14 @@
    cache" row of Table I is produced.
 
    Point lookup: bloom check (DRAM, ~free), binary search the index (DRAM),
-   read one data block (SSD or cache), scan the block. *)
+   read one data block (SSD or cache), scan the block.
+
+   Verification memo: the handle remembers, per data block, the file
+   generation ({!Ssd.generation}) at which the block last passed its CRC.
+   Every change to the file's bytes bumps the generation, so a block whose
+   stored generation is current holds the very bytes that passed and its
+   fetch skips the recompute; the device read and its charge are
+   unchanged. [verify] reads around the memo. *)
 
 let default_block_bytes = 4096
 let bits_per_key = 10
@@ -36,6 +43,7 @@ type t = {
   min_seq : int;
   max_seq : int;
   payload_bytes : int;
+  block_gens : int array;  (* memo: generation of each block's last passing check *)
   mutable pinned : string option array option;  (* explicit whole-table pin *)
   mutable shared : Cache.Block_cache.t option;  (* engine-wide bounded cache *)
   dram_access_ns : float;
@@ -169,6 +177,7 @@ let finish b =
     min_seq = b.b_min_seq;
     max_seq = b.b_max_seq;
     payload_bytes = b.b_payload;
+    block_gens = Array.make (Array.length blocks) (-1);
     pinned = None;
     shared = None;
     dram_access_ns = dram_access_ns_default;
@@ -239,6 +248,7 @@ let open_existing ssd file =
     min_seq;
     max_seq;
     payload_bytes;
+    block_gens = Array.make block_count (-1);
     pinned = None;
     shared = None;
     dram_access_ns = dram_access_ns_default;
@@ -269,18 +279,25 @@ let delete t =
   invalidate_cache t;
   Ssd.delete_file t.ssd t.file
 
+(* Read block [i] from the device. The checksum persisted at build time
+   detects bit rot and torn writes on the way in — computed once per file
+   generation, since unchanged bytes can only pass again. *)
+let fetch t i =
+  let meta = t.blocks.(i) in
+  let data = Ssd.pread t.ssd t.file ~off:meta.off ~len:meta.len in
+  let gen = Ssd.generation t.file in
+  if !verify_checksums && t.block_gens.(i) <> gen then begin
+    if Util.Crc32.string data <> meta.crc then
+      raise (Corrupted_block { file_id = Ssd.file_id t.file; block = i });
+    t.block_gens.(i) <- gen
+  end;
+  data
+
 (* Read block [i]: DRAM cost when the block is pinned or resident in the
-   shared cache, SSD cost on miss (then admitted to the shared cache). The
-   checksum persisted at build time detects bit rot and torn writes on the
-   way in. *)
+   shared cache, a checked device fetch on miss (then admitted to the
+   shared cache). *)
 let read_block t i =
   let meta = t.blocks.(i) in
-  let fetch () =
-    let data = Ssd.pread t.ssd t.file ~off:meta.off ~len:meta.len in
-    if !verify_checksums && Util.Crc32.string data <> meta.crc then
-      raise (Corrupted_block { file_id = Ssd.file_id t.file; block = i });
-    data
-  in
   let pinned_hit =
     match t.pinned with
     | Some slots -> slots.(i)
@@ -294,26 +311,23 @@ let read_block t i =
       data
   | None -> (
       match t.shared with
-      | None -> fetch ()
+      | None -> fetch t i
       | Some cache -> (
           let fid = Ssd.file_id t.file in
           match Cache.Block_cache.find cache ~file_id:fid ~block:i with
           | Some data -> data
           | None ->
-              let data = fetch () in
+              let data = fetch t i in
               Cache.Block_cache.insert cache ~file_id:fid ~block:i data;
               data))
 
-(* Explicitly pin the whole table in DRAM (one sequential device read) —
+(* Explicitly pin the whole table in DRAM (one device read per block) —
    the knapsack's "SSTable in cache" placement. Pinned bytes sit outside
    the shared cache's budget on purpose: the pin is a planner decision,
-   the cache is a reactive safety net. *)
-let warm_cache t =
-  t.pinned <-
-    Some
-      (Array.map
-         (fun m -> Some (Ssd.pread t.ssd t.file ~off:m.off ~len:m.len))
-         t.blocks)
+   the cache is a reactive safety net. Pinned hits are served unchecked,
+   so every block goes through the checked fetch here: rot raises
+   [Corrupted_block] at pin time. *)
+let warm_cache t = t.pinned <- Some (Array.mapi (fun i _ -> Some (fetch t i)) t.blocks)
 
 let drop_cache t = t.pinned <- None
 
@@ -339,32 +353,21 @@ let scan_block t data ~entries f =
     f e
   done
 
-exception Found of Util.Kv.entry
-
+(* The first block whose last key is >= [key] holds the key's newest
+   version (versions sort newest first). Keys are compared in place and
+   only the match is decoded; decode CPU is charged per entry visited, as
+   a full decode up to the match would be. *)
 let get ?(use_bloom = true) t key =
   if key < t.min_key || key > t.max_key then None
   else if use_bloom && not (Bloom.mem t.bloom key) then None
   else
     match locate_block t key with
     | None -> None
-    | Some i -> (
-        let data = read_block t i in
-        (* Newest version of the key can spill into the next block when the
-           block boundary splits a key's versions; check it if needed. *)
-        let find_in_block idx =
-          let data = if idx = i then data else read_block t idx in
-          try
-            scan_block t data ~entries:t.blocks.(idx).entries (fun e ->
-                if e.Util.Kv.key = key then raise (Found e)
-                else if String.compare e.key key > 0 then raise Exit);
-            None
-          with
-          | Found e -> Some e
-          | Exit -> None
-        in
-        match find_in_block i with
-        | Some e -> Some e
-        | None -> None)
+    | Some i ->
+        Util.Kv.find_sorted
+          (Util.Cursor.create (read_block t i) 0)
+          ~count:t.blocks.(i).entries key
+          ~visit:(fun () -> charge_cpu t decode_cpu_ns)
 
 let iter t f =
   Array.iteri

@@ -49,9 +49,10 @@ val attach_shared_cache : t -> Cache.Block_cache.t -> unit
     cache: misses are admitted, hits are charged DRAM latency. *)
 
 val warm_cache : t -> unit
-(** Explicitly pin the whole table in DRAM (one sequential device read) —
+(** Explicitly pin the whole table in DRAM (one device read per block) —
     the knapsack's "SSTable in cache" placement. Pinned bytes sit outside
-    the shared cache's budget. *)
+    the shared cache's budget. Every block is checksummed on its way into
+    the pin: raises {!Corrupted_block} on rot. *)
 
 val drop_cache : t -> unit
 (** Drop the {!warm_cache} pin (the shared cache is unaffected). *)
@@ -79,7 +80,9 @@ exception Corrupted_block of { file_id : int; block : int }
 val verify : t -> int list
 (** Full checksum walk from the medium (scrub): re-verifies the persisted
     meta block (the pinned DRAM index can outlive rot) and every data block
-    around the cache. Returns failing block indices ([-1] for meta), [[]]
+    around the cache and the read path's verification memo (which skips
+    re-checking a block whose file {!Ssd.generation} has not moved since
+    it last passed). Returns failing block indices ([-1] for meta), [[]]
     when clean (and always [[]] while {!verify_checksums} is off). *)
 
 val salvage_entries : t -> Util.Kv.entry list * (string * string) option

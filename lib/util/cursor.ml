@@ -65,3 +65,19 @@ let string_equals c ~prefix key =
   plen + len = String.length key
   && equal_sub prefix 0 key 0 plen
   && equal_sub c.s start key plen len
+
+(* Byte-wise, like [String.compare]: the first differing byte decides, then
+   the length. *)
+let compare_string c key =
+  let len = string_len c in
+  let start = c.pos in
+  c.pos <- start + len;
+  let klen = String.length key in
+  let n = min len klen in
+  let rec from i =
+    if i = n then Int.compare len klen
+    else
+      let a = String.get c.s (start + i) and b = String.get key i in
+      if a = b then from (i + 1) else Char.compare a b
+  in
+  from 0

@@ -30,3 +30,8 @@ val string_equals : t -> prefix:string -> string -> bool
 (** [string_equals c ~prefix key] reads a length-prefixed string [s], as
     {!string} would, and tells whether [prefix ^ s = key] — without
     building [prefix ^ s]. *)
+
+val compare_string : t -> string -> int
+(** [compare_string c key] reads a length-prefixed string [s], as {!string}
+    would, and returns an int with the sign of [String.compare s key] —
+    without copying [s]. *)

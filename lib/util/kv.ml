@@ -45,15 +45,35 @@ let decode_tail c key =
 
 let decode_from ?key_prefix c = decode_tail c (Cursor.string ?prefix:key_prefix c)
 
+(* Step over the rest of an entry once its key has been read. *)
+let skip_tail c =
+  ignore (Cursor.varint c);
+  ignore (Cursor.byte c);
+  Cursor.skip_string c
+
 let find_from ~key_prefix c ~count key =
   let rec scan i =
     if i >= count then None
     else if Cursor.string_equals c ~prefix:key_prefix key then Some (decode_tail c key)
     else begin
-      ignore (Cursor.varint c);
-      ignore (Cursor.byte c);
-      Cursor.skip_string c;
+      skip_tail c;
       scan (i + 1)
+    end
+  in
+  scan 0
+
+let find_sorted c ~count key ~visit =
+  let rec scan i =
+    if i >= count then None
+    else begin
+      let cmp = Cursor.compare_string c key in
+      visit ();
+      if cmp = 0 then Some (decode_tail c key)
+      else if cmp > 0 then None
+      else begin
+        skip_tail c;
+        scan (i + 1)
+      end
     end
   in
   scan 0

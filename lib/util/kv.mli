@@ -36,5 +36,13 @@ val find_from : key_prefix:string -> Cursor.t -> count:int -> string -> entry op
     [key], and decodes only that one: the other keys are compared in place
     and their values skipped. *)
 
+val find_sorted :
+  Cursor.t -> count:int -> string -> visit:(unit -> unit) -> entry option
+(** [find_sorted c ~count key ~visit] scans up to [count] entries sorted
+    by key, with unstripped keys, for the first whose key is [key]: keys
+    are compared in place, values skipped, and only the match is decoded.
+    Stops at the first greater key. [visit] runs once per entry whose key
+    was compared, the match and the stopping key included. *)
+
 val pp : entry Fmt.t
 val pp_kind : kind Fmt.t

@@ -72,6 +72,195 @@ let test_sstable_verify_salvage () =
   check Alcotest.bool "survivors verbatim" true
     (List.for_all (fun (e : Util.Kv.entry) -> List.mem e entries) survivors)
 
+(* --- Verification memo ------------------------------------------------------ *)
+
+(* A read whose checksum passed is not re-checked until the bytes change;
+   every change bumps the generation, so rot planted after a passing read
+   must still raise on the next one. *)
+
+let u32_at s pos =
+  let b k = Char.code s.[pos + k] in
+  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+
+(* PM table layout from its footer: (entry_len, meta_off, group_count). *)
+let pm_layout region =
+  let len = Pmem.region_len region in
+  let footer = Pmem.unsafe_peek region ~off:(len - 26) ~len:26 in
+  (u32_at footer 0, u32_at footer 4, u32_at footer 8)
+
+let pm_record_width = Pmtable.Pm_table.default_prefix_len + 13
+
+let memo_pm_table ?(crash_mode = false) () =
+  let pm = Pmem.create (Sim.Clock.create ()) in
+  if crash_mode then Pmem.enable_crash_mode pm;
+  let rng = Util.Xoshiro.create 11 in
+  let entries =
+    Array.init 200 (fun i ->
+        Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (Util.Xoshiro.string rng 24))
+  in
+  Array.sort Util.Kv.compare_entry entries;
+  let t = Pmtable.Pm_table.build pm entries in
+  let region = Option.get (Pmem.find_region pm (Pmtable.Pm_table.region_id t)) in
+  (pm, region, t, entries)
+
+let raises_corrupted ~layer f =
+  match f () with
+  | _ -> false
+  | exception Pmtable.Integrity.Corrupted c -> c.layer = layer
+
+let test_memo_pm_group_rot_after_read () =
+  let pm, region, t, entries = memo_pm_table () in
+  (* entry 3 lands in group 0 without a slot tie; read it twice (memo hit) *)
+  let k = entries.(3).Util.Kv.key in
+  for _ = 1 to 2 do
+    check Alcotest.bool "clean read" true (Pmtable.Pm_table.get t k = Some entries.(3))
+  done;
+  (* the last byte of group 0: the tail of its last entry's value *)
+  let entry_len, _, _ = pm_layout region in
+  let group1 = u32_at (Pmem.unsafe_peek region ~off:(entry_len + pm_record_width) ~len:pm_record_width) 24 in
+  Pmem.corrupt_region pm region ~off:(group1 - 1);
+  check Alcotest.bool "group rot raises after a memo hit" true
+    (raises_corrupted ~layer:"entry" (fun () -> Pmtable.Pm_table.get t k))
+
+let test_memo_pm_record_rot_after_read () =
+  let pm, region, t, entries = memo_pm_table () in
+  let k = entries.(3).Util.Kv.key in
+  for _ = 1 to 2 do
+    check Alcotest.bool "clean read" true (Pmtable.Pm_table.get t k = Some entries.(3))
+  done;
+  (* record 0 is the first probe of every lookup *)
+  let entry_len, _, _ = pm_layout region in
+  Pmem.corrupt_region pm region ~off:(entry_len + 2);
+  check Alcotest.bool "record rot raises after a memo hit" true
+    (raises_corrupted ~layer:"prefix" (fun () -> Pmtable.Pm_table.get t k))
+
+(* The durable image holds junk while the cache-domain bytes are good: a
+   read passes, then a crash reverts to the junk. The revert must bump the
+   generation so the next read checks again. *)
+let test_memo_pm_crash_revert_rechecks () =
+  let pm, region, t, entries = memo_pm_table ~crash_mode:true () in
+  let k = entries.(3).Util.Kv.key in
+  let good = Pmem.unsafe_peek region ~off:0 ~len:64 in
+  Pmem.write pm region ~off:0 (String.make 64 '\255');
+  Pmem.flush pm region ~off:0 ~len:64;
+  Pmem.drain pm;
+  Pmem.write pm region ~off:0 good;
+  check Alcotest.bool "good bytes read clean" true
+    (Pmtable.Pm_table.get t k = Some entries.(3));
+  Pmem.crash pm;
+  check Alcotest.bool "reverted junk raises" true
+    (raises_corrupted ~layer:"entry" (fun () -> Pmtable.Pm_table.get t k))
+
+let memo_sstable () =
+  let ssd = Ssd.create (Sim.Clock.create ()) in
+  let entries =
+    List.init 400 (fun i ->
+        Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (String.make 24 'v'))
+  in
+  let t = Sstable.of_sorted_list ssd entries in
+  (ssd, Option.get (Ssd.find_file ssd (Sstable.file_id t)), t, entries)
+
+let raises_corrupted_block f =
+  match f () with _ -> false | exception Sstable.Corrupted_block { block; _ } -> block = 0
+
+let test_memo_sstable_rot_after_read () =
+  let ssd, file, t, entries = memo_sstable () in
+  let e = List.nth entries 5 in
+  for _ = 1 to 2 do
+    check Alcotest.bool "clean read" true (Sstable.get t e.Util.Kv.key = Some e)
+  done;
+  Ssd.corrupt_file ssd file ~off:100;
+  check Alcotest.bool "block rot raises after a memo hit" true
+    (raises_corrupted_block (fun () -> Sstable.get t e.Util.Kv.key))
+
+let test_warm_cache_checks_blocks () =
+  let ssd, file, t, _ = memo_sstable () in
+  Ssd.corrupt_file ssd file ~off:100;
+  check Alcotest.bool "pinning a rotten block raises" true
+    (raises_corrupted_block (fun () -> Sstable.warm_cache t))
+
+let test_scrub_after_memo_hits () =
+  let pm, region, t, _ = memo_pm_table () in
+  Pmtable.Pm_table.iter t ignore;
+  Pmtable.Pm_table.iter t ignore;
+  Pmem.corrupt_region pm region ~off:0;
+  check Alcotest.bool "pm scrub finds the rot" true
+    (List.mem ("entry", 0) (Pmtable.Pm_table.verify t));
+  let ssd, file, sst, _ = memo_sstable () in
+  Sstable.iter sst ignore;
+  Sstable.iter sst ignore;
+  Ssd.corrupt_file ssd file ~off:100;
+  check Alcotest.(list int) "sstable scrub finds the rot" [ 0 ] (Sstable.verify sst)
+
+(* Differential: after a random history through one long-lived handle and
+   one random corruption of the layers the memo covers, every lookup
+   answers or raises exactly as a freshly opened handle (empty memo) over
+   the same bytes does. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let gen_case =
+  QCheck.Gen.(
+    quad (int_range 20 160) (list_size (int_range 0 60) (int_range 0 199))
+      (pair (int_range 0 1_000_000) bool) (int_range 0 1_000_000))
+
+let prop_memo_pm_matches_fresh =
+  QCheck.Test.make ~name:"pm memo answers as a fresh handle" ~count:60
+    (QCheck.make gen_case) (fun (n, history, (where, flip), seed) ->
+      let pm = Pmem.create (Sim.Clock.create ()) in
+      let rng = Util.Xoshiro.create seed in
+      let entries =
+        Array.init n (fun i ->
+            Util.Kv.entry ~key:(Util.Keys.ycsb_key (i * 2)) ~seq:(i + 1)
+              (Util.Xoshiro.string rng (Util.Xoshiro.int rng 40)))
+      in
+      Array.sort Util.Kv.compare_entry entries;
+      let t = Pmtable.Pm_table.build pm entries in
+      let region = Option.get (Pmem.find_region pm (Pmtable.Pm_table.region_id t)) in
+      let key i = Util.Keys.ycsb_key i in
+      List.iter (fun i -> ignore (outcome (fun () -> Pmtable.Pm_table.get t (key i)))) history;
+      let _, meta_off, groups = pm_layout region in
+      let covered = meta_off - (4 * groups) in
+      let mode = if flip then `Flip else `Zero in
+      Pmem.corrupt_region ~len:(min 4 (covered - (where mod covered))) ~mode pm region
+        ~off:(where mod covered);
+      match Pmtable.Pm_table.open_existing pm region with
+      | exception _ -> true (* the rot hit the bytes open_existing reads *)
+      | fresh when Pmtable.Pm_table.min_key fresh <> Pmtable.Pm_table.min_key t -> true
+      | _ ->
+          List.for_all
+            (fun i ->
+              let fresh = Pmtable.Pm_table.open_existing pm region in
+              outcome (fun () -> Pmtable.Pm_table.get t (key i))
+              = outcome (fun () -> Pmtable.Pm_table.get fresh (key i)))
+            (List.init (2 * n) Fun.id @ history))
+
+let prop_memo_sstable_matches_fresh =
+  QCheck.Test.make ~name:"sstable memo answers as a fresh handle" ~count:60
+    (QCheck.make gen_case) (fun (n, history, (where, flip), seed) ->
+      let ssd = Ssd.create (Sim.Clock.create ()) in
+      let rng = Util.Xoshiro.create seed in
+      let entries =
+        List.init (n * 4) (fun i ->
+            Util.Kv.entry ~key:(Util.Keys.ycsb_key (i * 2)) ~seq:(i + 1)
+              (Util.Xoshiro.string rng (Util.Xoshiro.int rng 40)))
+      in
+      let t = Sstable.of_sorted_list ~block_bytes:512 ssd entries in
+      let file = Option.get (Ssd.find_file ssd (Sstable.file_id t)) in
+      let key i = Util.Keys.ycsb_key (i * 4 mod (n * 8)) in
+      List.iter (fun i -> ignore (outcome (fun () -> Sstable.get t (key i)))) history;
+      (* data blocks only: the meta block is checked at open, not memoized *)
+      let size = Ssd.file_size file in
+      let data_len = u32_at (Ssd.pread ssd file ~off:(size - 12) ~len:12) 4 in
+      let mode = if flip then `Flip else `Zero in
+      Ssd.corrupt_file ~len:(min 4 (data_len - (where mod data_len))) ~mode ssd file
+        ~off:(where mod data_len);
+      List.for_all
+        (fun i ->
+          let fresh = Sstable.open_existing ssd file in
+          outcome (fun () -> Sstable.get t (key i))
+          = outcome (fun () -> Sstable.get fresh (key i)))
+        (List.init (2 * n) Fun.id @ history))
+
 (* --- Engine: degraded reads + quarantine ----------------------------------- *)
 
 let test_engine_quarantines_rotten_table () =
@@ -292,6 +481,22 @@ let () =
             test_pm_table_verify_salvage;
           Alcotest.test_case "sstable verify + salvage" `Quick
             test_sstable_verify_salvage;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "pm group rot after read" `Quick
+            test_memo_pm_group_rot_after_read;
+          Alcotest.test_case "pm record rot after read" `Quick
+            test_memo_pm_record_rot_after_read;
+          Alcotest.test_case "pm crash revert rechecks" `Quick
+            test_memo_pm_crash_revert_rechecks;
+          Alcotest.test_case "sstable rot after read" `Quick
+            test_memo_sstable_rot_after_read;
+          Alcotest.test_case "warm_cache checks blocks" `Quick
+            test_warm_cache_checks_blocks;
+          Alcotest.test_case "scrub after memo hits" `Quick test_scrub_after_memo_hits;
+          QCheck_alcotest.to_alcotest prop_memo_pm_matches_fresh;
+          QCheck_alcotest.to_alcotest prop_memo_sstable_matches_fresh;
         ] );
       ( "engine",
         [

@@ -96,6 +96,35 @@ let test_crash_discards_unflushed () =
     (Pmem.unsafe_peek r ~off:8 ~len:8 <> "volatile");
   check Alcotest.int "durable watermark" 8 (Pmem.durable_upto r)
 
+(* The generation moves with every change to a region's bytes — writes,
+   a crash's revert (resurrected regions too) and injected rot — and with
+   nothing else: readers memoize checksums against it. *)
+let test_generation_tracks_byte_changes () =
+  let _, dev = make () in
+  Pmem.enable_crash_mode dev;
+  let r = Pmem.alloc dev 64 in
+  let g0 = Pmem.generation r in
+  Pmem.write dev r ~off:0 "abcd";
+  let g1 = Pmem.generation r in
+  check Alcotest.bool "write bumps" true (g1 <> g0);
+  ignore (Pmem.read dev r ~off:0 ~len:4);
+  ignore (Pmem.read_byte dev r ~off:1);
+  Pmem.flush dev r ~off:0 ~len:4;
+  Pmem.drain dev;
+  check Alcotest.int "read, flush and drain leave it" g1 (Pmem.generation r);
+  Pmem.corrupt_region dev r ~off:2;
+  let g2 = Pmem.generation r in
+  check Alcotest.bool "corrupt bumps" true (g2 <> g1);
+  Pmem.crash dev;
+  let g3 = Pmem.generation r in
+  check Alcotest.bool "crash revert bumps" true (g3 <> g2);
+  let dead = Pmem.alloc dev 16 in
+  Pmem.write dev dead ~off:0 "gone";
+  Pmem.free dev dead;
+  let gd = Pmem.generation dead in
+  Pmem.crash dev;
+  check Alcotest.bool "resurrected region bumps" true (Pmem.generation dead <> gd)
+
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"write/read roundtrip at random offsets" ~count:200
     QCheck.(pair (string_of_size Gen.(int_range 1 64)) (int_range 0 100))
@@ -121,6 +150,8 @@ let () =
           Alcotest.test_case "optane asymmetry" `Quick test_read_write_asymmetry_matches_optane;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "crash discards unflushed" `Quick test_crash_discards_unflushed;
+          Alcotest.test_case "generation tracks byte changes" `Quick
+            test_generation_tracks_byte_changes;
           qtest prop_roundtrip_random;
         ] );
     ]

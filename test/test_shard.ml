@@ -237,7 +237,7 @@ let test_admission_stall_and_resume () =
 
 (* --- schedsan: the planted race in the committer ------------------------ *)
 
-let races_with ~plant =
+let committer_sanitizer ~plant =
   let cfg = base_config ~shards:1 ~durable:true () in
   let r = Shard.Router.create cfg in
   let sched = make_sched r in
@@ -256,10 +256,36 @@ let races_with ~plant =
       done;
       ignore (Coroutine.Scheduler.run_to_completion sched);
       Shard.Router.disable_group_commit r);
-  Sanitize.Schedsan.races san
+  san
+
+let races_with ~plant = Sanitize.Schedsan.races (committer_sanitizer ~plant)
 
 let test_schedsan_catches_planted_race () =
   check Alcotest.bool "unlocked batch state races" true (races_with ~plant:true > 0)
+
+(* Access sites are symbolized only when a race is reported; the report
+   must still name the committer's source line for both tasks. *)
+let test_schedsan_race_names_sites () =
+  let san = committer_sanitizer ~plant:true in
+  let race =
+    List.find_opt
+      (fun (f : Sanitize.Schedsan.finding) ->
+        String.length f.f_kind > 5
+        && String.sub f.f_kind (String.length f.f_kind - 5) 5 = "-race")
+      (Sanitize.Schedsan.findings san)
+  in
+  match race with
+  | None -> Alcotest.fail "planted race not reported"
+  | Some f ->
+      let d = f.f_detail and site = "(group_commit.ml:" in
+      let n = String.length site in
+      let rec count pos acc =
+        if pos + n >= String.length d then acc
+        else if String.sub d pos n = site && d.[pos + n] >= '0' && d.[pos + n] <= '9'
+        then count (pos + n) (acc + 1)
+        else count (pos + 1) acc
+      in
+      check Alcotest.int (Printf.sprintf "both tasks' sites named in %S" d) 2 (count 0 0)
 
 let test_schedsan_clean_when_locked () =
   check Alcotest.int "locked committer is race-free" 0 (races_with ~plant:false)
@@ -321,6 +347,7 @@ let () =
           Alcotest.test_case "catches planted race" `Quick
             test_schedsan_catches_planted_race;
           Alcotest.test_case "clean when locked" `Quick test_schedsan_clean_when_locked;
+          Alcotest.test_case "race names sites" `Quick test_schedsan_race_names_sites;
         ] );
       ( "sweep",
         [

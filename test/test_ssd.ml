@@ -207,6 +207,31 @@ let test_fsync_hook_swallows_barrier () =
   Ssd.crash ssd;
   check Alcotest.int "unsynced bytes lost" 0 (Ssd.file_size f)
 
+(* The generation moves with every change to a file's bytes — appends, a
+   crash's truncation and injected rot — and with nothing else: readers
+   memoize checksums against it. *)
+let test_generation_tracks_byte_changes () =
+  let _, ssd = make () in
+  Ssd.enable_crash_mode ssd;
+  let f = Ssd.create_file ssd in
+  let g0 = Ssd.generation f in
+  Ssd.append ssd f "durable!";
+  let g1 = Ssd.generation f in
+  check Alcotest.bool "append bumps" true (g1 <> g0);
+  Ssd.fsync ssd f;
+  ignore (Ssd.pread ssd f ~off:0 ~len:8);
+  check Alcotest.int "fsync and pread leave it" g1 (Ssd.generation f);
+  Ssd.corrupt_file ssd f ~off:3;
+  let g2 = Ssd.generation f in
+  check Alcotest.bool "corrupt bumps" true (g2 <> g1);
+  Ssd.append ssd f "volatile";
+  let g3 = Ssd.generation f in
+  Ssd.crash ssd;
+  check Alcotest.bool "crash truncation bumps" true (Ssd.generation f <> g3);
+  let g4 = Ssd.generation f in
+  Ssd.seal ssd f;
+  check Alcotest.int "seal leaves it" g4 (Ssd.generation f)
+
 let () =
   Alcotest.run "ssd"
     [
@@ -231,6 +256,8 @@ let () =
           Alcotest.test_case "delete resurrection" `Quick test_delete_resurrected_on_crash;
           Alcotest.test_case "write hook Io_error" `Quick test_write_hook_io_error;
           Alcotest.test_case "fsync hook sync loss" `Quick test_fsync_hook_swallows_barrier;
+          Alcotest.test_case "generation tracks byte changes" `Quick
+            test_generation_tracks_byte_changes;
         ] );
       ( "async",
         [

@@ -444,6 +444,43 @@ let prop_kv_find_from =
         ~count:(List.length es) probe
       = List.find_opt (fun (e : Util.Kv.entry) -> e.key = probe) full)
 
+let sign c = compare c 0
+
+let prop_cursor_compare_string =
+  QCheck.Test.make ~name:"Cursor.compare_string = String.compare" ~count:500
+    QCheck.(pair (string_of_size Gen.(int_range 0 8)) (string_of_size Gen.(int_range 0 8)))
+    (fun (s, key) ->
+      let buf = Buffer.create 16 in
+      Util.Varint.write_string buf s;
+      let cur = Util.Cursor.create (Buffer.contents buf) 0 in
+      sign (Util.Cursor.compare_string cur key) = sign (String.compare s key)
+      && Util.Cursor.pos cur = Buffer.length buf)
+
+(* The SSTable point lookup: the first match of a sorted run, with one
+   visit (one decode charge) per entry up to the match or the first
+   greater key, as a full decode that stops there would make. *)
+let prop_kv_find_sorted =
+  QCheck.Test.make ~name:"find_sorted = first match, visits up to it" ~count:300
+    prefixed_run_arb (fun (_, es, pick) ->
+      let es = List.sort Util.Kv.compare_entry es in
+      let raw = encode_all es in
+      let probe =
+        if pick mod 4 = 3 then (List.nth es (pick mod List.length es)).key ^ "\000"
+        else (List.nth es (pick mod List.length es)).key
+      in
+      let visits = ref 0 in
+      let found =
+        Util.Kv.find_sorted (Util.Cursor.create raw 0) ~count:(List.length es) probe
+          ~visit:(fun () -> incr visits)
+      in
+      let rec expected_visits n = function
+        | [] -> n
+        | (e : Util.Kv.entry) :: rest ->
+            if String.compare e.key probe >= 0 then n + 1 else expected_visits (n + 1) rest
+      in
+      found = List.find_opt (fun (e : Util.Kv.entry) -> e.key = probe) es
+      && !visits = expected_visits 0 es)
+
 (* A length varint that decodes to a negative int (bit 62 set) is
    malformed input, not a string length. *)
 let test_negative_length_rejected () =
@@ -454,7 +491,10 @@ let test_negative_length_rejected () =
   check Alcotest.bool "Kv.decode" true (fails (fun () -> Util.Kv.decode raw 0));
   check Alcotest.bool "find_from" true
     (fails (fun () ->
-         Util.Kv.find_from ~key_prefix:"" (Util.Cursor.create raw 0) ~count:1 "k"))
+         Util.Kv.find_from ~key_prefix:"" (Util.Cursor.create raw 0) ~count:1 "k"));
+  check Alcotest.bool "find_sorted" true
+    (fails (fun () ->
+         Util.Kv.find_sorted (Util.Cursor.create raw 0) ~count:1 "k" ~visit:ignore))
 
 let test_kv_decode_truncated () =
   let raw = encode_all [ Util.Kv.entry ~key:"key-0001" ~seq:300 (String.make 200 'v') ] in
@@ -563,6 +603,8 @@ let () =
           Alcotest.test_case "key-major order" `Quick test_kv_order_key_major;
           qtest prop_kv_decode_from_prefix;
           qtest prop_kv_find_from;
+          qtest prop_cursor_compare_string;
+          qtest prop_kv_find_sorted;
           Alcotest.test_case "truncated entry raises" `Quick test_kv_decode_truncated;
           Alcotest.test_case "negative length rejected" `Quick test_negative_length_rejected;
         ] );
