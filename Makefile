@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check crashtest scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
+.PHONY: all build test check selftest crashtest scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
 
 all: build
 
@@ -47,7 +47,12 @@ lint:
 pmlint:
 	sh scripts/check_pmlint.sh PMLINT.json
 
-check: build test lint
+# Repository benchmark smoke: every perfbench workload at smoke size must
+# pass and print every metric, and a planted dropped write must fail.
+selftest:
+	python3 perfbench/run.py --self-test
+
+check: build test lint selftest
 
 bench:
 	dune exec bench/main.exe

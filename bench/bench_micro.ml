@@ -3,8 +3,13 @@
    table lookup (64 B values, and 1 KB values whose ~8 KB groups are probed
    repeatedly, the case the verification memo serves) and full decode, the
    plain array-table lookup, the SSTable point lookup, the LZ codec, the
-   Bloom filter and the CRC32 kernel every stored block is checked with.
-   These measure real host nanoseconds, not simulated time. *)
+   Bloom filter and the CRC32 kernel every stored block is checked with, and
+   the compaction data plane: an 8-way merge and the PM-table and SSTable
+   builds of a 4096-entry run. These measure real host nanoseconds, not
+   simulated time. *)
+
+(* Bechamel's toolkit has a [Compaction] module of its own. *)
+module Merge = Compaction.Merge
 
 open Bechamel
 open Toolkit
@@ -42,6 +47,20 @@ let make_sstable_fixture entries =
   let ssd = Ssd.create (Sim.Clock.create ()) in
   Sstable.build ssd entries
 
+(* Eight sorted runs of 2048 entries over one keyspace, as internal
+   compaction merges the unsorted tables into the sorted run. *)
+let make_merge_runs () =
+  let rng = Util.Xoshiro.create 31 in
+  List.init 8 (fun r ->
+      let run =
+        Array.init 2048 (fun i ->
+            Util.Kv.entry ~key:(Util.Keys.ycsb_key (Util.Xoshiro.int rng 20_000))
+              ~seq:((r * 2048) + i + 1)
+              (Util.Xoshiro.string rng 64))
+      in
+      Array.sort Util.Kv.compare_entry run;
+      run)
+
 let tests () =
   let entries, pm_tbl, arr_tbl = make_pm_fixture () in
   let hot_tbl, hot = make_hot_fixture () in
@@ -53,6 +72,12 @@ let tests () =
   let bloom = Bloom.of_keys ~bits_per_key:10 (Array.to_list (Array.map (fun e -> e.Util.Kv.key) entries)) in
   let fresh_bloom = Bloom.create ~bits_per_key:10 4096 in
   let block_64 = Util.Xoshiro.string rng 64 and block_4k = Util.Xoshiro.string rng 4096 in
+  let runs = make_merge_runs () in
+  let merge_clock = Sim.Clock.create () in
+  let build_pm =
+    Pmem.create ~params:{ Pmem.default_params with capacity = 64 * 1024 * 1024 } (Sim.Clock.create ())
+  in
+  let build_ssd = Ssd.create (Sim.Clock.create ()) in
   [
     Test.make ~name:"pm_table.get" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ()))));
     Test.make ~name:"pm_table.get-1KB" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get hot_tbl hot.(Util.Xoshiro.int rng 16))));
@@ -64,7 +89,10 @@ let tests () =
     Test.make ~name:"bloom.add" (Staged.stage (fun () -> Bloom.add fresh_bloom (key ())));
     Test.make ~name:"crc32-64B" (Staged.stage (fun () -> ignore (Util.Crc32.string block_64)));
     Test.make ~name:"crc32-4KB" (Staged.stage (fun () -> ignore (Util.Crc32.string block_4k)));
-    Test.make ~name:"pm_table.to_list-4096" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.to_list pm_tbl)));
+    Test.make ~name:"pm_table.to_array-4096" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.to_array pm_tbl)));
+    Test.make ~name:"merge-8x2048" (Staged.stage (fun () -> ignore (Merge.merge ~clock:merge_clock runs)));
+    Test.make ~name:"pm_table.build-4096" (Staged.stage (fun () -> Pmtable.Pm_table.free (Pmtable.Pm_table.build build_pm entries)));
+    Test.make ~name:"sstable.build-4096" (Staged.stage (fun () -> Sstable.delete (Sstable.build build_ssd entries)));
   ]
 
 let run () =

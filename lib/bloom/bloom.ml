@@ -25,6 +25,10 @@ let hash2_of h1 =
   (* An even h2 would make probes cycle; force odd. *)
   !h lor 1
 
+let hashes key =
+  let h1 = hash1 key in
+  (h1, hash2_of h1)
+
 let optimal_k bits_per_key =
   let k = int_of_float (float_of_int bits_per_key *. 0.69) in
   if k < 1 then 1 else if k > 30 then 30 else k
@@ -42,18 +46,27 @@ let get_bit t i =
   let byte = i / 8 and bit = i mod 8 in
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
+(* Probe i sits at (h1 + i*h2) mod nbits. Both hashes are reduced once and
+   the position steps by h2 mod nbits with a conditional subtract — the
+   same bits, one division per key instead of k. *)
+let step t pos delta =
+  let next = pos + delta in
+  if next >= t.nbits then next - t.nbits else next
+
 let add t key =
   let h1 = hash1 key in
-  let h2 = hash2_of h1 in
-  for i = 0 to t.k - 1 do
-    set_bit t ((h1 + (i * h2)) mod t.nbits)
+  let delta = hash2_of h1 mod t.nbits in
+  let pos = ref (h1 mod t.nbits) in
+  for _ = 1 to t.k do
+    set_bit t !pos;
+    pos := step t !pos delta
   done
 
 let mem t key =
   let h1 = hash1 key in
-  let h2 = hash2_of h1 in
-  let rec probe i = i >= t.k || (get_bit t ((h1 + (i * h2)) mod t.nbits) && probe (i + 1)) in
-  probe 0
+  let delta = hash2_of h1 mod t.nbits in
+  let rec probe i pos = i >= t.k || (get_bit t pos && probe (i + 1) (step t pos delta)) in
+  probe 0 (h1 mod t.nbits)
 
 let size_bytes t = Bytes.length t.bits
 

@@ -18,3 +18,7 @@ val deserialize : string -> t
 (** Raises [Failure] on truncated input. *)
 
 val serialized_size : t -> int
+
+val hashes : string -> int * int
+(** The two base hashes [(h1, h2)] of a key: probe [i] of a filter with
+    [nbits] bits sets bit [(h1 + i*h2) mod nbits]. Exposed for tests. *)

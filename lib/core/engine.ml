@@ -203,8 +203,8 @@ let block_cache t = t.block_cache
 (* Every SSTable the engine creates reads through the shared cache (when
    one is configured); tables built elsewhere (tests, tools) stay
    cache-less unless attached explicitly. *)
-let new_sst t entries =
-  let sst = Sstable.of_sorted_list t.ssd entries in
+let new_sst ?pos ?len t entries =
+  let sst = Sstable.build ?pos ?len t.ssd entries in
   (match t.block_cache with
   | Some c -> Sstable.attach_shared_cache sst c
   | None -> ());
@@ -368,6 +368,40 @@ let with_pipeline_overlap t f =
     result
   end
 
+(* --- Key-sorted runs ------------------------------------------------------ *)
+
+let below bound key = String.compare key bound < 0
+
+(* Length of the longest prefix of the key-sorted run [entries] whose keys
+   satisfy [p]: when [p] holds for every key below some bound and for none
+   above, that prefix is exactly what a [filter] on [p] keeps. *)
+let prefix_length p (entries : Util.Kv.entry array) =
+  let n = Array.length entries in
+  let rec go i = if i < n && p entries.(i).key then go (i + 1) else i in
+  go 0
+
+let take_prefix p entries =
+  let k = prefix_length p entries in
+  if k = Array.length entries then entries else Array.sub entries 0 k
+
+let drop_prefix p entries =
+  let k = prefix_length p entries in
+  if k = 0 then entries else Array.sub entries k (Array.length entries - k)
+
+(* What [source] feeds its callback, in order, as an array; at most
+   [limit] entries — the callback stops the source by raising [Exit]. *)
+let gather ?(limit = max_int) source =
+  let acc = ref [] and n = ref 0 in
+  (try
+     source (fun e ->
+         acc := e :: !acc;
+         incr n;
+         if !n >= limit then raise Exit)
+   with Exit -> ());
+  let out = Array.make !n Util.Kv.filler in
+  List.iteri (fun i e -> out.(!n - 1 - i) <- e) !acc;
+  out
+
 (* Read-stage section: [f] materialises one input run; its clock delta
    becomes a read token on [medium]. *)
 let staged_read t ~medium f =
@@ -378,7 +412,7 @@ let staged_read t ~medium f =
       let t0 = Sim.Clock.now t.clock in
       let entries = f () in
       let bytes =
-        List.fold_left (fun acc e -> acc + Util.Kv.encoded_size e) 0 entries
+        Array.fold_left (fun acc e -> acc + Util.Kv.encoded_size e) 0 entries
       in
       Compaction.Pipeline.record_read r medium ~bytes
         ~cost_ns:(Sim.Clock.now t.clock -. t0);
@@ -392,22 +426,24 @@ let staged_merge t f =
       Compaction.Pipeline.with_stage Compaction.Pipeline.Merge @@ fun () ->
       let t0 = Sim.Clock.now t.clock in
       let merged, stats = f () in
-      Compaction.Pipeline.record_merge r ~entries:(List.length merged)
+      Compaction.Pipeline.record_merge r ~entries:(Array.length merged)
         ~cost_ns:(Sim.Clock.now t.clock -. t0);
       (merged, stats)
 
-(* Build+write section for one output SSTable: the SSD write time of the
-   section is the write token, the remainder (serialisation CPU) the
-   build token. Runs under the Write frame so the ssd.write crash sites
-   it reaches are tagged with the stage that issues them. *)
-let staged_new_sst t slice =
+(* Build+write section for one output SSTable, from the [(pos, len)]
+   slice of [entries]: the SSD write time of the section is the write
+   token, the remainder (serialisation CPU) the build token. Runs under the
+   Write frame so the ssd.write crash sites it reaches are tagged with the
+   stage that issues them. *)
+let staged_new_sst t entries (pos, len) =
   match t.pipe_recording with
-  | None -> new_sst t slice
+  | None -> new_sst ~pos ~len t entries
   | Some r ->
       let wr0 = (Ssd.stats t.ssd).Ssd.write_time in
       let t0 = Sim.Clock.now t.clock in
       let sst =
-        Compaction.Pipeline.with_stage Compaction.Pipeline.Write (fun () -> new_sst t slice)
+        Compaction.Pipeline.with_stage Compaction.Pipeline.Write (fun () ->
+            new_sst ~pos ~len t entries)
       in
       let total = Sim.Clock.now t.clock -. t0 in
       let io = (Ssd.stats t.ssd).Ssd.write_time -. wr0 in
@@ -418,10 +454,11 @@ let staged_new_sst t slice =
 
 (* PM-table counterpart (internal compaction's output): build and write
    are one section on PM — recorded as a PM write token. *)
-let staged_new_pmtable t slice =
+let staged_new_pmtable t entries (pos, len) =
   let build () =
-    Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-      ~bloom_bits_per_key:(pm_bloom_bits t) t.pm ~kind:t.config.Config.table_kind slice
+    Pmtable.Table.build ~group_size:t.config.Config.group_size
+      ~bloom_bits_per_key:(pm_bloom_bits t) ~pos ~len t.pm ~kind:t.config.Config.table_kind
+      entries
   in
   match t.pipe_recording with
   | None -> build ()
@@ -451,14 +488,7 @@ let write_run_to_level t p ~into_level ~replaced entries =
         Compaction.Pipeline.record_build r ~cost_ns:(Sim.Clock.now t.clock -. t0);
         slices
   in
-  let fresh =
-    List.filter_map
-      (fun slice ->
-        match slice with
-        | [] -> None
-        | _ -> Some (staged_new_sst t slice))
-      slices
-  in
+  let fresh = List.map (staged_new_sst t entries) slices in
   install_level p into_level ~removed:replaced ~fresh
 
 (* Cascade: while level j exceeds its target, push its oldest tables down.
@@ -476,7 +506,7 @@ let rec cascade t p j =
         in
         let drop_tombstones = is_bottom_for p ~into_level:(j + 1) ~lo ~hi in
         let read_sst sst =
-          staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_list sst)
+          staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_array sst)
         in
         let runs = read_sst seed :: List.map read_sst overlapping in
         let merged, _stats =
@@ -504,7 +534,7 @@ let internal_compaction t p =
     let t0 = Sim.Clock.now t.clock in
     with_pipeline_overlap t (fun () ->
         let read_pm tbl =
-          staged_read t ~medium:Compaction.Pipeline.Pm (fun () -> Pmtable.Table.to_list tbl)
+          staged_read t ~medium:Compaction.Pipeline.Pm (fun () -> Pmtable.Table.to_array tbl)
         in
         let runs = List.map read_pm p.unsorted @ List.map read_pm p.sorted_run in
         let merged, _stats =
@@ -521,8 +551,7 @@ let internal_compaction t p =
           let built = ref [] in
           (try
              List.iter
-               (fun slice ->
-                 if slice <> [] then built := staged_new_pmtable t slice :: !built)
+               (fun slice -> built := staged_new_pmtable t merged slice :: !built)
                slices
            with e ->
              List.iter Pmtable.Table.free !built;
@@ -597,9 +626,8 @@ let major_compact_partition t p =
   with_major_timing t (fun () ->
       let live_row tbl =
         let wm = matrix_wm_of p tbl in
-        let entries = Pmtable.Table.to_list tbl in
-        if wm = "" then entries
-        else List.filter (fun (e : Util.Kv.entry) -> String.compare e.key wm >= 0) entries
+        let entries = Pmtable.Table.to_array tbl in
+        if wm = "" then entries else drop_prefix (below wm) entries
       in
       let l0_runs =
         List.map
@@ -608,11 +636,11 @@ let major_compact_partition t p =
         @ List.map
             (fun tbl ->
               staged_read t ~medium:Compaction.Pipeline.Pm (fun () ->
-                  Pmtable.Table.to_list tbl))
+                  Pmtable.Table.to_array tbl))
             p.sorted_run
         @ List.map
             (fun sst ->
-              staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_list sst))
+              staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_array sst))
             p.ssd_l0
       in
       if l0_runs <> [] then begin
@@ -623,7 +651,7 @@ let major_compact_partition t p =
           l0_runs
           @ List.map
               (fun sst ->
-                staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_list sst))
+                staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_array sst))
               overlapping
         in
         let merged, _stats =
@@ -683,15 +711,10 @@ let column_compaction t p ~columns =
             (fun row ->
               staged_read t ~medium:Compaction.Pipeline.Pm @@ fun () ->
               let wm = matrix_wm_of p row in
-              let acc = ref [] and n = ref 0 in
-              (try
-                 Pmtable.Table.range row ~start:wm ~stop:max_key_sentinel (fun e ->
-                     acc := e :: !acc;
-                     incr n;
-                     if !n >= per_row_cap then raise Exit)
-               with Exit -> ());
-              let run = List.rev !acc in
-              if !n < per_row_cap then incr exhausted_rows;
+              let run =
+                gather ~limit:per_row_cap (Pmtable.Table.range row ~start:wm ~stop:max_key_sentinel)
+              in
+              if Array.length run < per_row_cap then incr exhausted_rows;
               run)
             rows
         in
@@ -701,30 +724,28 @@ let column_compaction t p ~columns =
         let new_wm =
           List.fold_left2
             (fun acc row run ->
-              match run with
-              | [] -> acc
-              | _ ->
-                  let last = List.nth run (List.length run - 1) in
-                  let complete =
-                    List.length run < per_row_cap
-                    || String.compare (Pmtable.Table.max_key row) last.Util.Kv.key <= 0
-                  in
-                  if complete then acc else min acc last.Util.Kv.key)
+              let n = Array.length run in
+              if n = 0 then acc
+              else
+                let last = run.(n - 1) in
+                let complete =
+                  n < per_row_cap
+                  || String.compare (Pmtable.Table.max_key row) last.Util.Kv.key <= 0
+                in
+                if complete then acc else min acc last.Util.Kv.key)
             max_key_sentinel rows candidate_runs
         in
         let merged, _stats =
           staged_merge t (fun () ->
               Compaction.Merge.merge ~drop_tombstones:false ~clock:t.clock candidate_runs)
         in
-        let column =
-          List.filter (fun (e : Util.Kv.entry) -> String.compare e.key new_wm < 0) merged
-        in
-        if column = [] && new_wm <> max_key_sentinel then
+        let column = take_prefix (below new_wm) merged in
+        if Array.length column = 0 && new_wm <> max_key_sentinel then
           (* Degenerate slice (duplicate-heavy boundary): fall back to a
              full major compaction of the partition. *)
           major_compact_partition t p
         else begin
-          (if column <> [] then begin
+          (if Array.length column > 0 then begin
              let overlapping =
                List.filter (fun sst -> Sstable.overlaps sst ~min:lo ~max:new_wm) p.levels.(0)
              in
@@ -733,7 +754,7 @@ let column_compaction t p ~columns =
                List.map
                  (fun sst ->
                    staged_read t ~medium:Compaction.Pipeline.Ssd (fun () ->
-                       Sstable.to_list sst))
+                       Sstable.to_array sst))
                  overlapping
              in
              let merged_out, _ =
@@ -919,16 +940,16 @@ let split_pm_table t key tbl =
   if String.compare (Pmtable.Table.max_key tbl) key < 0 then ([ tbl ], [])
   else if String.compare (Pmtable.Table.min_key tbl) key >= 0 then ([], [ tbl ])
   else begin
-    let entries = Pmtable.Table.to_list tbl in
-    let left, right = List.partition (fun (e : Util.Kv.entry) -> String.compare e.key key < 0) entries in
-    let build slice =
-      if slice = [] then []
+    let entries = Pmtable.Table.to_array tbl in
+    let cut = prefix_length (below key) entries in
+    let build (pos, len) =
+      if len = 0 then []
       else
-        [ Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-            ~bloom_bits_per_key:(pm_bloom_bits t) t.pm
-            ~kind:(Pmtable.Table.kind tbl) slice ]
+        [ Pmtable.Table.build ~group_size:t.config.Config.group_size
+            ~bloom_bits_per_key:(pm_bloom_bits t) ~pos ~len t.pm
+            ~kind:(Pmtable.Table.kind tbl) entries ]
     in
-    let fresh_left = build left and fresh_right = build right in
+    let fresh_left = build (0, cut) and fresh_right = build (cut, Array.length entries - cut) in
     Pmtable.Table.free tbl;
     (fresh_left, fresh_right)
   end
@@ -937,10 +958,10 @@ let split_sstable t key sst =
   if String.compare (Sstable.max_key sst) key < 0 then ([ sst ], [])
   else if String.compare (Sstable.min_key sst) key >= 0 then ([], [ sst ])
   else begin
-    let entries = Sstable.to_list sst in
-    let left, right = List.partition (fun (e : Util.Kv.entry) -> String.compare e.key key < 0) entries in
-    let build slice = if slice = [] then [] else [ new_sst t slice ] in
-    let fresh_left = build left and fresh_right = build right in
+    let entries = Sstable.to_array sst in
+    let cut = prefix_length (below key) entries in
+    let build (pos, len) = if len = 0 then [] else [ new_sst ~pos ~len t entries ] in
+    let fresh_left = build (0, cut) and fresh_right = build (cut, Array.length entries - cut) in
     Sstable.delete sst;
     (fresh_left, fresh_right)
   end
@@ -959,21 +980,18 @@ let split_partition t p key =
         else if String.compare (Pmtable.Table.min_key row) key >= 0 then
           (ls, row :: rs, (row, wm) :: wms)
         else begin
-          let entries =
-            Pmtable.Table.to_list row
-            |> List.filter (fun (e : Util.Kv.entry) -> String.compare e.key wm >= 0)
-          in
-          let left, right =
-            List.partition (fun (e : Util.Kv.entry) -> String.compare e.key key < 0) entries
-          in
-          let build slice =
-            if slice = [] then []
+          let entries = Pmtable.Table.to_array row in
+          let live = prefix_length (below wm) entries in
+          let cut = max live (prefix_length (below key) entries) in
+          let build (pos, len) =
+            if len = 0 then []
             else
-              [ Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-                  ~bloom_bits_per_key:(pm_bloom_bits t) t.pm
-                  ~kind:(Pmtable.Table.kind row) slice ]
+              [ Pmtable.Table.build ~group_size:t.config.Config.group_size
+                  ~bloom_bits_per_key:(pm_bloom_bits t) ~pos ~len t.pm
+                  ~kind:(Pmtable.Table.kind row) entries ]
           in
-          let fresh_left = build left and fresh_right = build right in
+          let fresh_left = build (live, cut - live)
+          and fresh_right = build (cut, Array.length entries - cut) in
           Pmtable.Table.free row;
           ( fresh_left @ ls,
             fresh_right @ rs,
@@ -1227,40 +1245,47 @@ let flush_memtable t =
           ("bytes", Obs.Trace.Int flushed_bytes);
         ])
     @@ fun () ->
-    let entries = Memtable.to_list t.memtable in
+    let entries = Memtable.to_array t.memtable in
     t.memtable_seed <- t.memtable_seed + 1;
     t.memtable <- Memtable.create ~seed:t.memtable_seed t.clock;
     t.metrics.Metrics.minor_compactions <- t.metrics.Metrics.minor_compactions + 1;
-    (* Split by partition; entries are already sorted so each slice is too. *)
+    (* Split by partition: entries are sorted and partitions are key
+       ranges, so each partition's entries are one sorted (pos, len) slice. *)
     let by_partition = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        let p = partition_of t e.Util.Kv.key in
-        let slice = try Hashtbl.find by_partition p.idx with Not_found -> [] in
-        Hashtbl.replace by_partition p.idx (e :: slice))
-      entries;
+    let n = Array.length entries in
+    let pos = ref 0 in
+    while !pos < n do
+      let p = partition_of t entries.(!pos).Util.Kv.key in
+      let stop = ref (!pos + 1) in
+      while !stop < n && partition_of t entries.(!stop).Util.Kv.key == p do
+        incr stop
+      done;
+      Hashtbl.replace by_partition p.idx (!pos, !stop - !pos);
+      pos := !stop
+    done;
     Hashtbl.iter
-      (fun idx rev_slice ->
+      (fun idx (pos, len) ->
         let p = t.partitions.(idx) in
-        let slice = List.rev rev_slice in
         (match t.config.Config.l0_medium with
         | Config.L0_pm ->
-            let bytes =
-              List.fold_left (fun acc e -> acc + Util.Kv.encoded_size e) 0 slice
-            in
             (* MatrixKV's matrix container pays extra construction cost
                (cross-hint indexing) on every flush. *)
-            if t.config.Config.matrix_flush_overhead_ns_per_byte > 0.0 then
+            if t.config.Config.matrix_flush_overhead_ns_per_byte > 0.0 then begin
+              let bytes = ref 0 in
+              for i = pos to pos + len - 1 do
+                bytes := !bytes + Util.Kv.encoded_size entries.(i)
+              done;
               Sim.Clock.advance t.clock
-                (float_of_int bytes *. t.config.Config.matrix_flush_overhead_ns_per_byte);
+                (float_of_int !bytes *. t.config.Config.matrix_flush_overhead_ns_per_byte)
+            end;
             let table =
-              Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-                ~bloom_bits_per_key:(pm_bloom_bits t) t.pm
-                ~kind:t.config.Config.table_kind slice
+              Pmtable.Table.build ~group_size:t.config.Config.group_size
+                ~bloom_bits_per_key:(pm_bloom_bits t) ~pos ~len t.pm
+                ~kind:t.config.Config.table_kind entries
             in
             p.unsorted <- table :: p.unsorted
         | Config.L0_ssd ->
-            let sst = new_sst t slice in
+            let sst = new_sst ~pos ~len t entries in
             p.ssd_l0 <- sst :: p.ssd_l0);
         (* Compaction reads whole tables; a corrupt one is quarantined and
            the strategy retried against the survivors (the merge inputs are
@@ -1649,23 +1674,17 @@ let owned_region_ids t =
 (* Collect all entries with key in [start, stop) from every structure of
    the partitions covering the range, newest version first per key. *)
 let collect_range t ~start ~stop =
-  let runs = ref [ Memtable.range t.memtable ~start ~stop ] in
+  let runs = ref [ Array.of_list (Memtable.range t.memtable ~start ~stop) ] in
   Array.iter
     (fun p ->
       if not (String.compare p.hi start <= 0 || String.compare p.lo stop >= 0) then begin
         let add_table tbl =
-          if Pmtable.Table.overlaps tbl ~min:start ~max:stop then begin
-            let acc = ref [] in
-            Pmtable.Table.range tbl ~start ~stop (fun e -> acc := e :: !acc);
-            runs := List.rev !acc :: !runs
-          end
+          if Pmtable.Table.overlaps tbl ~min:start ~max:stop then
+            runs := gather (Pmtable.Table.range tbl ~start ~stop) :: !runs
         in
         let add_sst sst =
-          if Sstable.overlaps sst ~min:start ~max:stop then begin
-            let acc = ref [] in
-            Sstable.range sst ~start ~stop (fun e -> acc := e :: !acc);
-            runs := List.rev !acc :: !runs
-          end
+          if Sstable.overlaps sst ~min:start ~max:stop then
+            runs := gather (Sstable.range sst ~start ~stop) :: !runs
         in
         List.iter add_table p.unsorted;
         List.iter add_table p.sorted_run;
@@ -1675,6 +1694,9 @@ let collect_range t ~start ~stop =
     t.partitions;
   let merged, _stats = Compaction.Merge.merge ~drop_tombstones:true ~clock:t.clock !runs in
   merged
+
+let pairs_of entries =
+  Array.fold_right (fun (e : Util.Kv.entry) acc -> (e.key, e.value) :: acc) entries []
 
 let degraded_scan (t : t) pairs hit =
   t.metrics.Metrics.degraded_reads <- t.metrics.Metrics.degraded_reads + 1;
@@ -1699,17 +1721,10 @@ let collect_window t ~start ~limit =
     | _ -> safe_bound := Some last
   in
   let add_run collect =
-    let acc = ref [] and n = ref 0 in
-    (try
-       collect (fun e ->
-           acc := e :: !acc;
-           incr n;
-           if !n >= per_source then raise Exit)
-     with Exit -> ());
-    (match !acc with
-    | last :: _ when !n >= per_source -> note_truncated last.Util.Kv.key
-    | _ -> ());
-    if !acc <> [] then runs := List.rev !acc :: !runs
+    let run = gather ~limit:per_source collect in
+    let n = Array.length run in
+    if n >= per_source then note_truncated run.(n - 1).Util.Kv.key;
+    if n > 0 then runs := run :: !runs
   in
   add_run (fun f -> List.iter f (Memtable.from t.memtable ~start ~limit:per_source));
   Array.iter
@@ -1733,10 +1748,9 @@ let collect_window t ~start ~limit =
   let live =
     match !safe_bound with
     | None -> merged
-    | Some bound ->
-        List.filter (fun (e : Util.Kv.entry) -> String.compare e.key bound <= 0) merged
+    | Some bound -> take_prefix (fun key -> String.compare key bound <= 0) merged
   in
-  (List.map (fun (e : Util.Kv.entry) -> (e.key, e.value)) live, !safe_bound)
+  (pairs_of live, !safe_bound)
   in
   (* Iterators degrade like scans: a corrupt source is quarantined, the
      window re-collected from the survivors, and the caller told. *)
@@ -1756,7 +1770,7 @@ let scan_range_checked t ~start ~stop =
     guard_integrity t (fun () -> with_ssd_retry t (fun () -> collect_range t ~start ~stop))
   in
   Metrics.note_scan t.metrics (Sim.Clock.now t.clock -. t0);
-  let pairs = List.map (fun (e : Util.Kv.entry) -> (e.key, e.value)) entries in
+  let pairs = pairs_of entries in
   note_scan_bytes t pairs;
   match hit with [] -> Ok pairs | hit -> Error (degraded_scan t pairs hit)
 
@@ -1786,14 +1800,14 @@ let scan t ~start ~limit =
       guard_integrity t (fun () -> with_ssd_retry t (fun () -> collect_range t ~start ~stop))
     in
     hit := !hit @ round_hit;
-    if List.length entries >= limit || stop = max_key_sentinel then
+    if Array.length entries >= limit || stop = max_key_sentinel then
       (entries, stop)
     else widen (span * 4)
   in
   let entries, _stop = widen (limit * 4) in
   let result =
-    List.filteri (fun i _ -> i < limit) entries
-    |> List.map (fun (e : Util.Kv.entry) -> (e.key, e.value))
+    pairs_of
+      (if Array.length entries > limit then Array.sub entries 0 limit else entries)
   in
   Metrics.note_scan t.metrics (Sim.Clock.now t.clock -. t0);
   note_scan_bytes t result;
@@ -1808,7 +1822,7 @@ let scan t ~start ~limit =
    (and so perturbs device read stats) — one-shot diagnostics only. *)
 let logical_bytes t =
   let entries = collect_range t ~start:"" ~stop:max_key_sentinel in
-  List.fold_left
+  Array.fold_left
     (fun acc (e : Util.Kv.entry) -> acc + String.length e.key + String.length e.value)
     0 entries
 
@@ -1929,18 +1943,17 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
         let entries, lost_range = Pmtable.Table.salvage_entries tbl in
         let full_range = (Pmtable.Table.min_key tbl, Pmtable.Table.max_key tbl) in
         let fresh =
-          match entries with
-          | [] -> None
-          | entries ->
-              Some
-                (Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-                   ~bloom_bits_per_key:(pm_bloom_bits t) t.pm
-                   ~kind:(Pmtable.Table.kind tbl) entries)
+          if Array.length entries = 0 then None
+          else
+            Some
+              (Pmtable.Table.build ~group_size:t.config.Config.group_size
+                 ~bloom_bits_per_key:(pm_bloom_bits t) t.pm
+                 ~kind:(Pmtable.Table.kind tbl) entries)
         in
         replace_pm_table p ~old:tbl fresh;
         Pmtable.Table.free tbl;
         (match fresh with
-        | Some _ -> note_salvage "pm_region" region_id (List.length entries)
+        | Some _ -> note_salvage "pm_region" region_id (Array.length entries)
         | None -> incr dropped);
         record (Manifest.Q_region region_id)
           (match fresh with None -> Some full_range | Some _ -> lost_range)
@@ -1956,15 +1969,11 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
       if salvage then begin
         let entries, lost_range = Sstable.salvage_entries sst in
         let full_range = (Sstable.min_key sst, Sstable.max_key sst) in
-        let fresh =
-          match entries with
-          | [] -> None
-          | entries -> Some (new_sst t entries)
-        in
+        let fresh = if Array.length entries = 0 then None else Some (new_sst t entries) in
         replace_sst p ~old:sst fresh;
         Sstable.delete sst;
         (match fresh with
-        | Some _ -> note_salvage "ssd_file" file_id (List.length entries)
+        | Some _ -> note_salvage "ssd_file" file_id (Array.length entries)
         | None -> incr dropped);
         record (Manifest.Q_file file_id)
           (match fresh with None -> Some full_range | Some _ -> lost_range)

@@ -143,23 +143,17 @@ let get t key =
   | Some { kind = Util.Kv.Delete; _ } | None -> None
 
 (* All entries in (key asc, seq desc) order; charges a scan cost. *)
-let to_list t =
+let to_array t =
   charge t t.count;
-  let rec loop acc = function
-    | None -> List.rev acc
-    | Some node -> loop (node.entry :: acc) node.next.(0)
-  in
-  loop [] t.head.(0)
-
-let iter t f =
-  charge t t.count;
-  let rec loop = function
+  let out = Array.make t.count Util.Kv.filler in
+  let rec fill i = function
     | None -> ()
     | Some node ->
-        f node.entry;
-        loop node.next.(0)
+        out.(i) <- node.entry;
+        fill (i + 1) node.next.(0)
   in
-  loop t.head.(0)
+  fill 0 t.head.(0);
+  out
 
 (* Entries with key in [start, stop), newest versions first within a key. *)
 let range t ~start ~stop =

@@ -23,10 +23,8 @@ val find : t -> string -> Util.Kv.entry option
 val get : t -> string -> string option
 (** Newest visible value; [None] for absent or deleted keys. *)
 
-val to_list : t -> Util.Kv.entry list
+val to_array : t -> Util.Kv.entry array
 (** All entries in (key asc, seq desc) order. *)
-
-val iter : t -> (Util.Kv.entry -> unit) -> unit
 
 val range : t -> start:string -> stop:string -> Util.Kv.entry list
 (** Entries with key in [\[start, stop)]. *)

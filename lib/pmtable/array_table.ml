@@ -30,23 +30,18 @@ let decode_cpu_ns = 25.0
 
 let charge_cpu dev ns = Sim.Clock.advance (Pmem.clock dev) ns
 
-let build dev (entries : Util.Kv.entry array) =
-  let n = Array.length entries in
-  if n = 0 then invalid_arg "Array_table.build: empty input";
-  for i = 1 to n - 1 do
-    if Util.Kv.compare_entry entries.(i - 1) entries.(i) > 0 then
-      invalid_arg "Array_table.build: input not sorted by Kv.compare_entry"
-  done;
+let build ?pos ?len dev (entries : Util.Kv.entry array) =
+  let pos, n = Util.Kv.sorted_slice "Array_table.build" ?pos ?len entries in
   let payload = Buffer.create 4096 in
   let offsets = Array.make n 0 in
   let min_seq = ref max_int and max_seq = ref min_int in
-  Array.iteri
-    (fun i e ->
-      offsets.(i) <- Buffer.length payload;
-      Util.Kv.encode payload e;
-      if e.Util.Kv.seq < !min_seq then min_seq := e.seq;
-      if e.seq > !max_seq then max_seq := e.seq)
-    entries;
+  for i = 0 to n - 1 do
+    let e = entries.(pos + i) in
+    offsets.(i) <- Buffer.length payload;
+    Util.Kv.encode payload e;
+    if e.Util.Kv.seq < !min_seq then min_seq := e.seq;
+    if e.seq > !max_seq then max_seq := e.seq
+  done;
   charge_cpu dev (float_of_int n *. encode_cpu_ns);
   let data_len = Buffer.length payload in
   let total = data_len + (4 * n) in
@@ -62,8 +57,8 @@ let build dev (entries : Util.Kv.entry array) =
     count = n;
     slots_off = data_len;
     data_len;
-    min_key = entries.(0).key;
-    max_key = entries.(n - 1).key;
+    min_key = entries.(pos).key;
+    max_key = entries.(pos + n - 1).key;
     min_seq = !min_seq;
     max_seq = !max_seq;
     payload_bytes = data_len;
@@ -132,18 +127,15 @@ let read_data_sequential t =
   done;
   Buffer.contents pieces
 
-let iter t f =
+let to_array t =
   let data = read_data_sequential t in
   charge_cpu t.dev (float_of_int t.count *. decode_cpu_ns);
   let cur = Util.Cursor.create data 0 in
-  for _ = 1 to t.count do
-    f (Util.Kv.decode_from cur)
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun e -> acc := e :: !acc);
-  List.rev !acc
+  let out = Array.make t.count Util.Kv.filler in
+  for i = 0 to t.count - 1 do
+    out.(i) <- Util.Kv.decode_from cur
+  done;
+  out
 
 (* Entries with key in [start, stop): binary search to the start, then
    sequential reads. *)

@@ -5,10 +5,11 @@
 
 type t
 
-val build : Pmem.t -> Util.Kv.entry array -> t
-(** Build from entries sorted by {!Util.Kv.compare_entry}. Charges encode
-    CPU plus buffered PM writes. Raises [Invalid_argument] on empty input
-    and [Pmem.Out_of_space] when the device is full. *)
+val build : ?pos:int -> ?len:int -> Pmem.t -> Util.Kv.entry array -> t
+(** Build from the slice [\[pos, pos + len)] (default: the whole array) of
+    entries sorted by {!Util.Kv.compare_entry}. Charges encode CPU plus
+    buffered PM writes. Raises [Invalid_argument] on an unsorted, empty or
+    out-of-bounds slice and [Pmem.Out_of_space] when the device is full. *)
 
 val count : t -> int
 val byte_size : t -> int
@@ -25,10 +26,8 @@ val free : t -> unit
 val get : t -> string -> Util.Kv.entry option
 (** Newest version of the key in this table. *)
 
-val iter : t -> (Util.Kv.entry -> unit) -> unit
+val to_array : t -> Util.Kv.entry array
 (** All entries in (key asc, seq desc) order at sequential-read cost. *)
-
-val to_list : t -> Util.Kv.entry list
 
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 (** Entries with key in [\[start, stop)]. *)

@@ -47,19 +47,28 @@ let flush_upto t upto =
     Pmem.flush t.dev t.region ~off:t.flushed_upto ~len:(upto - t.flushed_upto);
   t.flushed_upto <- max t.flushed_upto upto
 
+(* One device write of [data] at the append position. *)
+let write_out t data =
+  Pmem.write t.dev t.region ~off:t.written data;
+  t.written <- t.written + String.length data;
+  (* leave a partial tail line dirty: the next chunk finishes it *)
+  flush_upto t (t.written land lnot (line_bytes - 1))
+
 let spill t =
-  let data = Buffer.contents t.staging in
-  if String.length data > 0 then begin
-    Pmem.write t.dev t.region ~off:t.written data;
-    t.written <- t.written + String.length data;
-    Buffer.clear t.staging;
-    (* leave a partial tail line dirty: the next chunk finishes it *)
-    flush_upto t (t.written land lnot (line_bytes - 1))
+  if Buffer.length t.staging > 0 then begin
+    write_out t (Buffer.contents t.staging);
+    Buffer.clear t.staging
   end
 
+(* A string of at least a chunk arriving on an empty staging buffer would
+   fill it and spill at once, as exactly one write of the string itself:
+   issue that write directly and skip both staging copies. *)
 let add_string t s =
-  Buffer.add_string t.staging s;
-  if Buffer.length t.staging >= t.chunk then spill t
+  if Buffer.length t.staging = 0 && String.length s >= t.chunk then write_out t s
+  else begin
+    Buffer.add_string t.staging s;
+    if Buffer.length t.staging >= t.chunk then spill t
+  end
 
 let add_char t c =
   Buffer.add_char t.staging c;

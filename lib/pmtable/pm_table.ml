@@ -111,16 +111,19 @@ let bloom_negatives = ref 0
 let default_bloom_bits_per_key = 10
 
 (* {tableID} extraction: keys built by Util.Keys open with 't' + 4 digits. *)
-let extract_tag key =
-  if
-    String.length key >= 5
-    && key.[0] = 't'
-    && key.[1] >= '0' && key.[1] <= '9'
-    && key.[2] >= '0' && key.[2] <= '9'
-    && key.[3] >= '0' && key.[3] <= '9'
-    && key.[4] >= '0' && key.[4] <= '9'
-  then String.sub key 0 5
-  else ""
+let is_tagged key =
+  String.length key >= 5
+  && key.[0] = 't'
+  && key.[1] >= '0' && key.[1] <= '9'
+  && key.[2] >= '0' && key.[2] <= '9'
+  && key.[3] >= '0' && key.[3] <= '9'
+  && key.[4] >= '0' && key.[4] <= '9'
+
+let extract_tag key = if is_tagged key then String.sub key 0 5 else ""
+
+(* [extract_tag key = tag], without building the key's tag. *)
+let has_tag tag key =
+  if String.length tag = 0 then not (is_tagged key) else String.starts_with ~prefix:tag key
 
 let pad_slot prefix_len s =
   if String.length s >= prefix_len then String.sub s 0 prefix_len
@@ -132,32 +135,26 @@ type group_plan = {
   gp_meta : int;
   gp_slot : string;
   gp_shared : int;  (* extra shared bytes stripped beyond the extended tag *)
-  gp_entries : Util.Kv.entry array;
+  gp_lo : int;      (* the group's entries: indices [gp_lo, gp_hi) of the input *)
+  gp_hi : int;
 }
-
-let check_sorted name entries =
-  let n = Array.length entries in
-  for i = 1 to n - 1 do
-    if Util.Kv.compare_entry entries.(i - 1) entries.(i) > 0 then
-      invalid_arg (name ^ ": input not sorted by Kv.compare_entry")
-  done
 
 let default_prefix_len = 24
 
 let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
-    ?(bloom_bits_per_key = default_bloom_bits_per_key) dev
+    ?(bloom_bits_per_key = default_bloom_bits_per_key) ?pos ?len dev
     (entries : Util.Kv.entry array) =
-  let n = Array.length entries in
-  if n = 0 then invalid_arg "Pm_table.build: empty input";
-  check_sorted "Pm_table.build" entries;
+  let pos, n = Util.Kv.sorted_slice "Pm_table.build" ?pos ?len entries in
+  let stop = pos + n in
   (* 1. Cut into tag runs; per run compute the extended tag (tag + common
-     prefix of the whole run, capped); then cut runs into groups. *)
+     prefix of the whole run, capped); then cut runs into groups, planned
+     as index ranges of the input. *)
   let metas = ref [] and groups = ref [] and group_count = ref 0 in
-  let i = ref 0 in
-  while !i < n do
+  let i = ref pos in
+  while !i < stop do
     let tag = extract_tag entries.(!i).Util.Kv.key in
     let run_start = !i in
-    while !i < n && extract_tag entries.(!i).Util.Kv.key = tag do
+    while !i < stop && has_tag tag entries.(!i).Util.Kv.key do
       incr i
     done;
     let run_end = !i in
@@ -183,7 +180,8 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
           gp_meta = meta_idx;
           gp_slot = pad_slot prefix_len stripped_first;
           gp_shared = shared;
-          gp_entries = Array.sub entries lo (hi - lo);
+          gp_lo = lo;
+          gp_hi = hi;
         }
         :: !groups;
       incr group_count;
@@ -193,39 +191,50 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
   done;
   let metas = Array.of_list (List.rev !metas) in
   let groups = Array.of_list (List.rev !groups) in
-  (* 2. Encode the three layers into DRAM staging, charging encode CPU. *)
-  let entry_layer = Buffer.create 4096 in
+  (* 2. Encode the three layers into DRAM staging, charging encode CPU. The
+     entry layer is sized first and encoded straight into one image. *)
+  let strip_len { gp_meta; gp_shared; _ } = String.length metas.(gp_meta).tag + gp_shared in
   let group_offsets = Array.make (Array.length groups) 0 in
+  let entry_len = ref 0 in
+  Array.iteri
+    (fun g ({ gp_lo; gp_hi; _ } as plan) ->
+      group_offsets.(g) <- !entry_len;
+      let strip = strip_len plan in
+      for i = gp_lo to gp_hi - 1 do
+        entry_len := !entry_len + Util.Kv.stripped_size ~strip entries.(i)
+      done)
+    groups;
+  let entry_len = !entry_len in
+  let image = Bytes.create entry_len in
   let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
   Array.iteri
-    (fun g { gp_shared; gp_entries; gp_meta; _ } ->
-      group_offsets.(g) <- Buffer.length entry_layer;
-      let strip_len = String.length metas.(gp_meta).tag + gp_shared in
-      Array.iter
-        (fun (e : Util.Kv.entry) ->
-          Util.Kv.encode ~strip:strip_len entry_layer e;
-          payload := !payload + Util.Kv.encoded_size e;
-          if e.seq < !min_seq then min_seq := e.seq;
-          if e.seq > !max_seq then max_seq := e.seq)
-        gp_entries)
+    (fun g ({ gp_lo; gp_hi; _ } as plan) ->
+      let strip = strip_len plan in
+      let off = ref group_offsets.(g) in
+      for i = gp_lo to gp_hi - 1 do
+        let e = entries.(i) in
+        off := Util.Kv.encode_at ~strip image !off e;
+        payload := !payload + Util.Kv.encoded_size e;
+        if e.seq < !min_seq then min_seq := e.seq;
+        if e.seq > !max_seq then max_seq := e.seq
+      done)
     groups;
+  (* The image is complete and never written again: hand it over as a
+     string without a copy. *)
+  let entry_str = Bytes.unsafe_to_string image in
   charge_cpu dev (float_of_int n *. encode_cpu_ns);
   (* Per-group CRCs over the entry-layer extents, cached in the handle and
      persisted in their own layer between the prefix and meta layers. *)
-  let entry_str = Buffer.contents entry_layer in
   let gcrcs =
     Array.init (Array.length groups) (fun g ->
         let start = group_offsets.(g) in
-        let stop =
-          if g + 1 < Array.length groups then group_offsets.(g + 1)
-          else String.length entry_str
-        in
-        Util.Crc32.update 0 entry_str start (stop - start))
+        let next = if g + 1 < Array.length groups then group_offsets.(g + 1) else entry_len in
+        Util.Crc32.update 0 entry_str start (next - start))
   in
   let prefix_layer = Buffer.create 1024 in
   let rec_buf = Buffer.create 64 in
   Array.iteri
-    (fun g { gp_slot; gp_shared; gp_entries; gp_meta } ->
+    (fun g { gp_slot; gp_shared; gp_lo; gp_hi; gp_meta } ->
       Buffer.clear rec_buf;
       Buffer.add_string rec_buf gp_slot;
       let add_u32 v =
@@ -238,7 +247,7 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
         Buffer.add_char rec_buf (Char.chr (v land 0xff))
       in
       add_u32 group_offsets.(g);
-      add_u16 (Array.length gp_entries);
+      add_u16 (gp_hi - gp_lo);
       Buffer.add_char rec_buf (Char.chr gp_shared);
       add_u16 gp_meta;
       (* inline record CRC: every prefix-layer probe self-verifies *)
@@ -274,7 +283,9 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     if bloom_bits_per_key <= 0 then None
     else begin
       let b = Bloom.create ~bits_per_key:bloom_bits_per_key n in
-      Array.iter (fun (e : Util.Kv.entry) -> Bloom.add b e.key) entries;
+      for i = pos to stop - 1 do
+        Bloom.add b entries.(i).Util.Kv.key
+      done;
       Some b
     end
   in
@@ -283,7 +294,6 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
   | None -> ());
   (* 3. Allocate and write through the buffered builder; a fixed-width
      footer closes the region (see open_existing). *)
-  let entry_len = String.length entry_str in
   let meta_off = entry_len + Buffer.length prefix_layer + Buffer.length gcrc_layer in
   let meta_str = Buffer.contents meta_layer in
   let meta_crc = Util.Crc32.string meta_str in
@@ -329,8 +339,8 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     record_gens = Array.make (Array.length groups) (-1);
     group_gens = Array.make (Array.length groups) (-1);
     meta_crc;
-    min_key = entries.(0).key;
-    max_key = entries.(n - 1).key;
+    min_key = entries.(pos).key;
+    max_key = entries.(stop - 1).key;
     min_seq = !min_seq;
     max_seq = !max_seq;
     payload_bytes = !payload;
@@ -623,10 +633,10 @@ let iter t f =
     Array.iter f (read_group t g record)
   done
 
-let to_list t =
-  let acc = ref [] in
-  iter t (fun e -> acc := e :: !acc);
-  List.rev !acc
+(* Every entry in order: the reads, checks and charges of [iter], decoded
+   group by group straight into arrays. *)
+let to_array t =
+  Array.concat (List.init t.group_count (fun g -> read_group t g (read_record t g)))
 
 (* First group that could contain a key >= [start]: per run, locate and
    step back never needed (locate gives last group starting <= start, whose
@@ -726,8 +736,7 @@ let salvage_entries t =
         try Some (read_group t g (read_record t g)) with _ -> None)
   in
   let survivors =
-    Array.to_list groups
-    |> List.concat_map (function Some es -> Array.to_list es | None -> [])
+    Array.concat (List.filter_map Fun.id (Array.to_list groups))
   in
   let first_bad = ref (-1) and last_bad = ref (-1) in
   Array.iteri

@@ -13,18 +13,21 @@ val build :
   ?group_size:int ->
   ?prefix_len:int ->
   ?bloom_bits_per_key:int ->
+  ?pos:int ->
+  ?len:int ->
   Pmem.t ->
   Util.Kv.entry array ->
   t
-(** Build from entries sorted by {!Util.Kv.compare_entry}. [group_size]
+(** Build from the slice [\[pos, pos + len)] (default: the whole array) of
+    entries sorted by {!Util.Kv.compare_entry}. [group_size]
     defaults to the paper's 8; [prefix_len] is the fixed slot width
     (default {!default_prefix_len}; larger slots strip more shared bytes
     from the entry layer at ~zero probe cost, since the PM access cost is
     dominated by its fixed term). [bloom_bits_per_key] (default 10) sizes
     the format-v2 Bloom filter persisted in the meta layer; [0] writes the
     byte-identical v1 layout with no bloom. Raises [Invalid_argument] on
-    unsorted or empty input, [Pmem.Out_of_space] when the device is
-    full. *)
+    an unsorted, empty or out-of-bounds slice, [Pmem.Out_of_space] when the
+    device is full. *)
 
 val open_existing : Pmem.t -> Pmem.region -> t
 (** Reopen a table from its persisted region after a restart: the footer
@@ -61,7 +64,9 @@ val bloom_negatives : int ref
 val default_bloom_bits_per_key : int
 
 val iter : t -> (Util.Kv.entry -> unit) -> unit
-val to_list : t -> Util.Kv.entry list
+val to_array : t -> Util.Kv.entry array
+(** Every entry in order, at {!iter}'s reads, checks and charges. *)
+
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 
 val extract_tag : string -> string
@@ -87,7 +92,7 @@ val verify : t -> (string * int) list
     [(layer, group index)] per failure, [[]] when clean (and always [[]]
     while {!verify_checksums} is off). *)
 
-val salvage_entries : t -> Util.Kv.entry list * (string * string) option
+val salvage_entries : t -> Util.Kv.entry array * (string * string) option
 (** Decode every group that still checksums; returns the surviving entries
     in order and, when groups were lost, a conservative [lo, hi] bound on
     the keys lost with them. *)

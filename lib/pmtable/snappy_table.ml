@@ -50,13 +50,8 @@ let charge_decompress dev output_bytes =
 
 let members_of_mode = function Per_pair -> 1 | Grouped k -> k
 
-let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
-  let n = Array.length entries in
-  if n = 0 then invalid_arg "Snappy_table.build: empty input";
-  for i = 1 to n - 1 do
-    if Util.Kv.compare_entry entries.(i - 1) entries.(i) > 0 then
-      invalid_arg "Snappy_table.build: input not sorted by Kv.compare_entry"
-  done;
+let build ?(mode = Per_pair) ?pos ?len dev (entries : Util.Kv.entry array) =
+  let pos, n = Util.Kv.sorted_slice "Snappy_table.build" ?pos ?len entries in
   let members = members_of_mode mode in
   if members <= 0 then invalid_arg "Snappy_table.build: group size must be positive";
   let chunk_count = (n + members - 1) / members in
@@ -68,7 +63,7 @@ let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
     let lo = c * members and hi = min n ((c + 1) * members) in
     let raw = Buffer.create 256 in
     for i = lo to hi - 1 do
-      let e = entries.(i) in
+      let e = entries.(pos + i) in
       Util.Kv.encode raw e;
       payload := !payload + Util.Kv.encoded_size e;
       if e.Util.Kv.seq < !min_seq then min_seq := e.seq;
@@ -95,8 +90,8 @@ let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
     chunks = chunk_count;
     slots_off = data_len;
     data_len;
-    min_key = entries.(0).key;
-    max_key = entries.(n - 1).key;
+    min_key = entries.(pos).key;
+    max_key = entries.(pos + n - 1).key;
     min_seq = !min_seq;
     max_seq = !max_seq;
     payload_bytes = !payload;
@@ -167,15 +162,7 @@ let get t key =
             if c + 1 < t.chunks then find_in (c + 1) else None)
   end
 
-let iter t f =
-  for c = 0 to t.chunks - 1 do
-    Array.iter f (read_chunk t c)
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun e -> acc := e :: !acc);
-  List.rev !acc
+let to_array t = Array.concat (List.init t.chunks (read_chunk t))
 
 let range t ~start ~stop f =
   if stop > t.min_key && start <= t.max_key then begin

@@ -8,8 +8,9 @@ type mode = Per_pair | Grouped of int
 
 type t
 
-val build : ?mode:mode -> Pmem.t -> Util.Kv.entry array -> t
-(** Build from sorted entries. [mode] defaults to [Per_pair]; the paper's
+val build : ?mode:mode -> ?pos:int -> ?len:int -> Pmem.t -> Util.Kv.entry array -> t
+(** Build from the slice [\[pos, pos + len)] (default: the whole array) of
+    sorted entries. [mode] defaults to [Per_pair]; the paper's
     group variant is [Grouped 8]. *)
 
 val count : t -> int
@@ -21,8 +22,9 @@ val seq_range : t -> int * int
 val free : t -> unit
 
 val get : t -> string -> Util.Kv.entry option
-val iter : t -> (Util.Kv.entry -> unit) -> unit
-val to_list : t -> Util.Kv.entry list
+val to_array : t -> Util.Kv.entry array
+(** All entries in order, decompressing every chunk. *)
+
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 
 val region_id : t -> int

@@ -19,16 +19,14 @@ let kind = function
   | Array _ -> Array_plain
   | Snappy _ -> Array_snappy (* group mode indistinguishable at this level *)
 
-let build ?(group_size = 8) ?bloom_bits_per_key dev ~kind entries =
+let build ?(group_size = 8) ?bloom_bits_per_key ?pos ?len dev ~kind entries =
   match kind with
-  | Pm_compressed -> Pm (Pm_table.build ~group_size ?bloom_bits_per_key dev entries)
-  | Array_plain -> Array (Array_table.build dev entries)
-  | Array_snappy -> Snappy (Snappy_table.build ~mode:Snappy_table.Per_pair dev entries)
+  | Pm_compressed -> Pm (Pm_table.build ~group_size ?bloom_bits_per_key ?pos ?len dev entries)
+  | Array_plain -> Array (Array_table.build ?pos ?len dev entries)
+  | Array_snappy ->
+      Snappy (Snappy_table.build ~mode:Snappy_table.Per_pair ?pos ?len dev entries)
   | Array_snappy_group ->
-      Snappy (Snappy_table.build ~mode:(Snappy_table.Grouped group_size) dev entries)
-
-let of_sorted_list ?group_size ?bloom_bits_per_key dev ~kind entries =
-  build ?group_size ?bloom_bits_per_key dev ~kind (Array.of_list entries)
+      Snappy (Snappy_table.build ~mode:(Snappy_table.Grouped group_size) ?pos ?len dev entries)
 
 let count = function
   | Pm t -> Pm_table.count t
@@ -71,16 +69,10 @@ let get ?use_bloom t key =
   | Array t -> Array_table.get t key
   | Snappy t -> Snappy_table.get t key
 
-let iter t f =
-  match t with
-  | Pm t -> Pm_table.iter t f
-  | Array t -> Array_table.iter t f
-  | Snappy t -> Snappy_table.iter t f
-
-let to_list = function
-  | Pm t -> Pm_table.to_list t
-  | Array t -> Array_table.to_list t
-  | Snappy t -> Snappy_table.to_list t
+let to_array = function
+  | Pm t -> Pm_table.to_array t
+  | Array t -> Array_table.to_array t
+  | Snappy t -> Snappy_table.to_array t
 
 let range t ~start ~stop f =
   match t with
@@ -111,5 +103,5 @@ let verify = function
 
 let salvage_entries = function
   | Pm t -> Pm_table.salvage_entries t
-  | Array t -> (Array_table.to_list t, None)
-  | Snappy t -> (Snappy_table.to_list t, None)
+  | Array t -> (Array_table.to_array t, None)
+  | Snappy t -> (Snappy_table.to_array t, None)

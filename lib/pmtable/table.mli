@@ -15,21 +15,16 @@ val kind : t -> kind
 val build :
   ?group_size:int ->
   ?bloom_bits_per_key:int ->
+  ?pos:int ->
+  ?len:int ->
   Pmem.t ->
   kind:kind ->
   Util.Kv.entry array ->
   t
-(** Build from entries sorted by {!Util.Kv.compare_entry}.
-    [bloom_bits_per_key] applies to {!Pm_compressed} only (see
-    {!Pm_table.build}); the array ablation variants ignore it. *)
-
-val of_sorted_list :
-  ?group_size:int ->
-  ?bloom_bits_per_key:int ->
-  Pmem.t ->
-  kind:kind ->
-  Util.Kv.entry list ->
-  t
+(** Build from the slice [\[pos, pos + len)] (default: the whole array) of
+    entries sorted by {!Util.Kv.compare_entry}. [bloom_bits_per_key]
+    applies to {!Pm_compressed} only (see {!Pm_table.build}); the array
+    ablation variants ignore it. *)
 
 val count : t -> int
 val byte_size : t -> int
@@ -43,8 +38,10 @@ val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
 (** [use_bloom] (default true) lets a {!Pm_compressed} table's format-v2
     Bloom filter screen absent keys before any PM access. *)
 
-val iter : t -> (Util.Kv.entry -> unit) -> unit
-val to_list : t -> Util.Kv.entry list
+val to_array : t -> Util.Kv.entry array
+(** Every entry in (key asc, seq desc) order, read and charged as a full
+    sequential pass. *)
+
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 
 val overlaps : t -> min:string -> max:string -> bool
@@ -63,6 +60,6 @@ val verify : t -> (string * int) list
 (** Checksum-walk the table (see {!Pm_table.verify}); [[]] for the
     non-durable array variants, which carry no checksums. *)
 
-val salvage_entries : t -> Util.Kv.entry list * (string * string) option
+val salvage_entries : t -> Util.Kv.entry array * (string * string) option
 (** Surviving entries plus the conservative lost key range, if any (see
     {!Pm_table.salvage_entries}). *)

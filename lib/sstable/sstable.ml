@@ -57,80 +57,16 @@ let charge_cpu t ns = Sim.Clock.advance (Ssd.clock t.ssd) ns
 
 (* --- Builder --------------------------------------------------------- *)
 
-type builder = {
-  b_ssd : Ssd.t;
-  b_file : Ssd.file;
-  b_block_bytes : int;
-  mutable b_current : Buffer.t;
-  mutable b_current_entries : int;
-  mutable b_blocks : block_meta list;
-  mutable b_last_key : string;
-  mutable b_first_key : string option;
-  mutable b_count : int;
-  mutable b_min_seq : int;
-  mutable b_max_seq : int;
-  mutable b_payload : int;
-  mutable b_keys : string list;
-  mutable b_off : int;
-}
-
-let create_builder ?(block_bytes = default_block_bytes) ssd =
-  {
-    b_ssd = ssd;
-    b_file = Ssd.create_file ssd;
-    b_block_bytes = block_bytes;
-    b_current = Buffer.create block_bytes;
-    b_current_entries = 0;
-    b_blocks = [];
-    b_last_key = "";
-    b_first_key = None;
-    b_count = 0;
-    b_min_seq = max_int;
-    b_max_seq = min_int;
-    b_payload = 0;
-    b_keys = [];
-    b_off = 0;
-  }
-
-let flush_block b =
-  if Buffer.length b.b_current > 0 then begin
-    let data = Buffer.contents b.b_current in
-    Ssd.append b.b_ssd b.b_file data;
-    b.b_blocks <-
-      { last_key = b.b_last_key; off = b.b_off; len = String.length data;
-        entries = b.b_current_entries; crc = Util.Crc32.string data }
-      :: b.b_blocks;
-    b.b_off <- b.b_off + String.length data;
-    Buffer.clear b.b_current;
-    b.b_current_entries <- 0
-  end
-
-let add b (e : Util.Kv.entry) =
-  if b.b_count > 0 && String.compare b.b_last_key e.key > 0 then
-    invalid_arg "Sstable.add: entries must arrive in key order";
-  if b.b_first_key = None then b.b_first_key <- Some e.key;
-  Util.Kv.encode b.b_current e;
-  b.b_current_entries <- b.b_current_entries + 1;
-  b.b_last_key <- e.key;
-  b.b_count <- b.b_count + 1;
-  b.b_payload <- b.b_payload + Util.Kv.encoded_size e;
-  if e.seq < b.b_min_seq then b.b_min_seq <- e.seq;
-  if e.seq > b.b_max_seq then b.b_max_seq <- e.seq;
-  b.b_keys <- e.key :: b.b_keys;
-  if Buffer.length b.b_current >= b.b_block_bytes then flush_block b
-
-let estimated_size b = b.b_off + Buffer.length b.b_current
-
 let meta_magic = 0x53535442 (* "SSTB" *)
 
 (* Index + filter are persisted in a meta block so the table can be
    reopened after a restart (and they cost device writes, like RocksDB's
    index/filter blocks), even though the handle pins them in DRAM. *)
-let encode_meta b bloom =
+let encode_meta ~blocks ~bloom ~count ~min_key ~max_key ~min_seq ~max_seq ~payload
+    ~meta_off =
   let buf = Buffer.create 1024 in
-  let blocks = List.rev b.b_blocks in
-  Util.Varint.write buf (List.length blocks);
-  List.iter
+  Util.Varint.write buf (Array.length blocks);
+  Array.iter
     (fun m ->
       Util.Varint.write_string buf m.last_key;
       Util.Varint.write buf m.off;
@@ -139,12 +75,12 @@ let encode_meta b bloom =
       Util.Varint.write buf m.crc)
     blocks;
   Util.Varint.write_string buf (Bloom.serialize bloom);
-  Util.Varint.write buf b.b_count;
-  Util.Varint.write_string buf (match b.b_first_key with Some k -> k | None -> "");
-  Util.Varint.write_string buf b.b_last_key;
-  Util.Varint.write buf b.b_min_seq;
-  Util.Varint.write buf b.b_max_seq;
-  Util.Varint.write buf b.b_payload;
+  Util.Varint.write buf count;
+  Util.Varint.write_string buf min_key;
+  Util.Varint.write_string buf max_key;
+  Util.Varint.write buf min_seq;
+  Util.Varint.write buf max_seq;
+  Util.Varint.write buf payload;
   (* fixed footer: u32 meta CRC (over the payload above) | u32 meta offset
      | u32 magic — the index that locates every other checksum is itself
      checksummed *)
@@ -155,43 +91,75 @@ let encode_meta b bloom =
     Buffer.add_char buf (Char.chr (v land 0xff))
   in
   add_u32 (Util.Crc32.string (Buffer.contents buf));
-  add_u32 b.b_off;
+  add_u32 meta_off;
   add_u32 meta_magic;
   Buffer.contents buf
 
-let finish b =
-  if b.b_count = 0 then invalid_arg "Sstable.finish: empty table";
-  flush_block b;
-  let bloom = Bloom.of_keys ~bits_per_key b.b_keys in
-  Ssd.append b.b_ssd b.b_file (encode_meta b bloom);
-  Ssd.seal b.b_ssd b.b_file;
-  let blocks = Array.of_list (List.rev b.b_blocks) in
+(* Entries are appended to data blocks in order; a block closes as soon as
+   it holds [block_bytes] or more. Each block's size is known before it is
+   encoded, so it is encoded straight into one image of exactly that size,
+   then appended and checksummed. *)
+let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
+    (entries : Util.Kv.entry array) =
+  (* Within a key, versions must arrive newest first: a point lookup serves
+     the first match it finds. *)
+  let pos, n = Util.Kv.sorted_slice "Sstable.build" ?pos ?len entries in
+  let stop = pos + n in
+  let file = Ssd.create_file ssd in
+  let blocks = ref [] and off = ref 0 in
+  let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
+  let first = ref pos in
+  while !first < stop do
+    let size = ref 0 and last = ref !first in
+    while !size < block_bytes && !last < stop do
+      size := !size + Util.Kv.encoded_size entries.(!last);
+      incr last
+    done;
+    let image = Bytes.create !size in
+    let at = ref 0 in
+    for i = !first to !last - 1 do
+      let e = entries.(i) in
+      at := Util.Kv.encode_at ~strip:0 image !at e;
+      if e.seq < !min_seq then min_seq := e.seq;
+      if e.seq > !max_seq then max_seq := e.seq
+    done;
+    payload := !payload + !size;
+    (* complete and never written again: no copy *)
+    let data = Bytes.unsafe_to_string image in
+    Ssd.append ssd file data;
+    blocks :=
+      { last_key = entries.(!last - 1).key; off = !off; len = !size;
+        entries = !last - !first; crc = Util.Crc32.string data }
+      :: !blocks;
+    off := !off + !size;
+    first := !last
+  done;
+  let blocks = Array.of_list (List.rev !blocks) in
+  let bloom = Bloom.create ~bits_per_key n in
+  for i = pos to stop - 1 do
+    Bloom.add bloom entries.(i).Util.Kv.key
+  done;
+  let min_key = entries.(pos).key and max_key = entries.(stop - 1).key in
+  Ssd.append ssd file
+    (encode_meta ~blocks ~bloom ~count:n ~min_key ~max_key ~min_seq:!min_seq
+       ~max_seq:!max_seq ~payload:!payload ~meta_off:!off);
+  Ssd.seal ssd file;
   {
-    ssd = b.b_ssd;
-    file = b.b_file;
+    ssd;
+    file;
     blocks;
     bloom;
-    count = b.b_count;
-    min_key = (match b.b_first_key with Some k -> k | None -> "");
-    max_key = b.b_last_key;
-    min_seq = b.b_min_seq;
-    max_seq = b.b_max_seq;
-    payload_bytes = b.b_payload;
+    count = n;
+    min_key;
+    max_key;
+    min_seq = !min_seq;
+    max_seq = !max_seq;
+    payload_bytes = !payload;
     block_gens = Array.make (Array.length blocks) (-1);
     pinned = None;
     shared = None;
     dram_access_ns = dram_access_ns_default;
   }
-
-let build ?block_bytes ssd entries =
-  let b = create_builder ?block_bytes ssd in
-  Array.iter (add b) entries;
-  finish b
-
-let of_sorted_list ?block_bytes ssd entries =
-  let b = create_builder ?block_bytes ssd in
-  List.iter (add b) entries;
-  finish b
 
 (* --- Reader ---------------------------------------------------------- *)
 
@@ -376,10 +344,15 @@ let iter t f =
       scan_block t data ~entries:meta.entries f)
     t.blocks
 
-let to_list t =
-  let acc = ref [] in
-  iter t (fun e -> acc := e :: !acc);
-  List.rev !acc
+(* Every entry in order, by [iter]'s reads and charges, into one array
+   sized from the same block index. *)
+let to_array t =
+  let out = Array.make (Array.fold_left (fun acc m -> acc + m.entries) 0 t.blocks) Util.Kv.filler in
+  let n = ref 0 in
+  iter t (fun e ->
+      out.(!n) <- e;
+      incr n);
+  out
 
 let range t ~start ~stop f =
   if stop > t.min_key && start <= t.max_key then begin
@@ -442,7 +415,7 @@ let verify t =
    still locates every (verified) data block. *)
 let salvage_entries t =
   let bad = List.filter (fun i -> i >= 0) (verify t) in
-  if bad = [] then (to_list t, None)
+  if bad = [] then (to_array t, None)
   else begin
     let survivors = ref [] in
     Array.iteri
@@ -457,5 +430,5 @@ let salvage_entries t =
     let last_bad = List.fold_left max (-1) bad in
     let lo = if first_bad = 0 then t.min_key else t.blocks.(first_bad - 1).last_key in
     let hi = t.blocks.(last_bad).last_key in
-    (List.rev !survivors, Some (lo, hi))
+    (Array.of_list (List.rev !survivors), Some (lo, hi))
   end

@@ -4,22 +4,17 @@
     (the "SSTable in cache" configuration of Table I). *)
 
 type t
-type builder
 
 val default_block_bytes : int
 
 (** {1 Building} *)
 
-val create_builder : ?block_bytes:int -> Ssd.t -> builder
-val add : builder -> Util.Kv.entry -> unit
-(** Entries must arrive in {!Util.Kv.compare_entry} order. *)
-
-val estimated_size : builder -> int
-val finish : builder -> t
-(** Raises [Invalid_argument] when no entries were added. *)
-
-val build : ?block_bytes:int -> Ssd.t -> Util.Kv.entry array -> t
-val of_sorted_list : ?block_bytes:int -> Ssd.t -> Util.Kv.entry list -> t
+val build : ?block_bytes:int -> ?pos:int -> ?len:int -> Ssd.t -> Util.Kv.entry array -> t
+(** Write the slice [\[pos, pos + len)] (default: the whole array) as a
+    sealed table. Entries must be in {!Util.Kv.compare_entry} order — key
+    ascending, then newest version first, since {!get} serves the first
+    match. Raises [Invalid_argument] on an unsorted, empty or out-of-bounds
+    slice. *)
 
 (** {1 Reading} *)
 
@@ -67,7 +62,9 @@ val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
     [~use_bloom:false]. *)
 
 val iter : t -> (Util.Kv.entry -> unit) -> unit
-val to_list : t -> Util.Kv.entry list
+val to_array : t -> Util.Kv.entry array
+(** Every entry in order, at {!iter}'s reads and charges. *)
+
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 val overlaps : t -> min:string -> max:string -> bool
 
@@ -85,7 +82,7 @@ val verify : t -> int list
     it last passed). Returns failing block indices ([-1] for meta), [[]]
     when clean (and always [[]] while {!verify_checksums} is off). *)
 
-val salvage_entries : t -> Util.Kv.entry list * (string * string) option
+val salvage_entries : t -> Util.Kv.entry array * (string * string) option
 (** Entries of every data block that still checksums, in order, plus a
     conservative [lo, hi] bound on the keys lost with the failing blocks
     ([None] when nothing was lost). *)

@@ -14,26 +14,55 @@ let entry ?(kind = Put) ~key ~seq value = { key; seq; kind; value }
 
 let tombstone ~key ~seq = { key; seq; kind = Delete; value = "" }
 
+let filler = { key = ""; seq = 0; kind = Delete; value = "" }
+
 (* Internal ordering: by key ascending, then by seq *descending*, so the
    newest version of a key sorts first — the order every merge relies on. *)
 let compare_entry a b =
   let c = String.compare a.key b.key in
   if c <> 0 then c else compare b.seq a.seq
 
-let encoded_size e =
-  Varint.size (String.length e.key)
-  + String.length e.key
+let sorted_slice name ?(pos = 0) ?len entries =
+  let len = match len with Some len -> len | None -> Array.length entries - pos in
+  if pos < 0 || len < 0 || pos + len > Array.length entries then
+    invalid_arg (name ^ ": slice out of bounds");
+  if len = 0 then invalid_arg (name ^ ": empty input");
+  for i = pos + 1 to pos + len - 1 do
+    if compare_entry entries.(i - 1) entries.(i) > 0 then
+      invalid_arg (name ^ ": input not sorted by Kv.compare_entry")
+  done;
+  (pos, len)
+
+let stripped_size ~strip e =
+  let key_len = String.length e.key - strip in
+  Varint.size key_len
+  + key_len
   + Varint.size e.seq
   + 1
   + Varint.size (String.length e.value)
   + String.length e.value
+
+let encoded_size e = stripped_size ~strip:0 e
+
+let kind_byte = function Put -> '\001' | Delete -> '\000'
+
+let encode_at ~strip b pos e =
+  let key_len = String.length e.key - strip in
+  let pos = Varint.put b pos key_len in
+  Bytes.blit_string e.key strip b pos key_len;
+  let pos = Varint.put b (pos + key_len) e.seq in
+  Bytes.set b pos (kind_byte e.kind);
+  let value_len = String.length e.value in
+  let pos = Varint.put b (pos + 1) value_len in
+  Bytes.blit_string e.value 0 b pos value_len;
+  pos + value_len
 
 let encode ?(strip = 0) buf e =
   let key_len = String.length e.key - strip in
   Varint.write buf key_len;
   Buffer.add_substring buf e.key strip key_len;
   Varint.write buf e.seq;
-  Buffer.add_char buf (match e.kind with Put -> '\001' | Delete -> '\000');
+  Buffer.add_char buf (kind_byte e.kind);
   Varint.write_string buf e.value
 
 (* The rest of an entry once its key has been read. *)

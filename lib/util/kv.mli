@@ -10,9 +10,21 @@ type entry = { key : string; seq : int; kind : kind; value : string }
 val entry : ?kind:kind -> key:string -> seq:int -> string -> entry
 val tombstone : key:string -> seq:int -> entry
 
+val filler : entry
+(** A constant entry to fill an array whose slots are all written before it
+    is read. It is allocated statically: [Array.make] of a large array with
+    a freshly allocated entry instead forces a minor collection first. *)
+
 val compare_entry : entry -> entry -> int
 (** Key ascending, then seq {e descending} — newest version of a key first.
     This is the invariant every merge iterator relies on. *)
+
+val sorted_slice : string -> ?pos:int -> ?len:int -> entry array -> int * int
+(** [sorted_slice name ?pos ?len entries] checks the slice
+    [\[pos, pos + len)] (default: the whole array) is in bounds, non-empty
+    and sorted by {!compare_entry}, and returns it as [(pos, len)]. Raises
+    [Invalid_argument] prefixed with [name] otherwise. Table builders take
+    their input this way. *)
 
 val encoded_size : entry -> int
 
@@ -21,6 +33,14 @@ val encode : ?strip:int -> Buffer.t -> entry -> unit
     varint value length, value. [strip] (default 0) leaves the first
     [strip] bytes of the key out — the PM table's shared group prefix,
     restored on decode by [key_prefix]. *)
+
+val stripped_size : strip:int -> entry -> int
+(** Byte length of [encode ~strip]'s output. *)
+
+val encode_at : strip:int -> Bytes.t -> int -> entry -> int
+(** [encode_at ~strip b pos e] writes [encode ~strip]'s bytes into [b] at
+    [pos] and returns the offset just past them — for encoders that size
+    their image up front. Raises [Invalid_argument] when [b] is too short. *)
 
 val decode : string -> int -> entry * int
 (** [decode s pos] decodes one entry at [pos], returning it with the offset

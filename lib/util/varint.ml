@@ -11,6 +11,20 @@ let write buf v =
   done;
   Buffer.add_char buf (Char.chr !v)
 
+let rec put_from b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr ((v land 0x7f) lor 0x80));
+    put_from b (pos + 1) (v lsr 7)
+  end
+
+let put b pos v =
+  if v < 0 then invalid_arg "Varint.put: negative";
+  put_from b pos v
+
 let read s pos =
   let c = Cursor.create s pos in
   let v = Cursor.varint c in

@@ -4,6 +4,11 @@
 val write : Buffer.t -> int -> unit
 (** Append a non-negative integer. Raises [Invalid_argument] on negatives. *)
 
+val put : Bytes.t -> int -> int -> int
+(** [put b pos v] writes [v] as {!write} would at [pos] and returns the
+    offset just past it. Raises [Invalid_argument] on negatives or when
+    the encoding runs past the end of [b]. *)
+
 val read : string -> int -> int * int
 (** [read s pos] decodes at [pos], returning [(value, next_pos)].
     Raises [Failure] on truncated or overlong input. *)

@@ -70,12 +70,47 @@ let test_size_scales () =
   check Alcotest.bool "bigger n, bigger filter" true
     (Bloom.size_bytes large > Bloom.size_bytes small)
 
+(* The stepped probe sequence sets exactly the bits of the
+   (h1 + i*h2) mod nbits reference, for random keys and filter sizes; the
+   serialized form is varint nbits, varint k, then the bit bytes. *)
+let prop_stepping_matches_reference =
+  QCheck.Test.make ~name:"stepped probes = (h1 + i*h2) mod nbits" ~count:300
+    QCheck.(
+      pair (int_range 1 20)
+        (list_of_size Gen.(int_range 0 300) (string_of_size Gen.(int_range 0 24))))
+    (fun (bits_per_key, keys) ->
+      let t = Bloom.of_keys ~bits_per_key keys in
+      let s = Bloom.serialize t in
+      let nbits, pos = Util.Varint.read s 0 in
+      let k, pos = Util.Varint.read s pos in
+      let reference = Bytes.make ((nbits + 7) / 8) '\000' in
+      let bits key =
+        let h1, h2 = Bloom.hashes key in
+        List.init k (fun i -> (h1 + (i * h2)) mod nbits)
+      in
+      let is_set bit = Char.code (Bytes.get reference (bit / 8)) land (1 lsl (bit mod 8)) <> 0 in
+      List.iter
+        (fun key ->
+          List.iter
+            (fun bit ->
+              let byte = Char.code (Bytes.get reference (bit / 8)) in
+              Bytes.set reference (bit / 8) (Char.chr (byte lor (1 lsl (bit mod 8)))))
+            (bits key))
+        keys;
+      String.sub s pos (String.length s - pos) = Bytes.to_string reference
+      && List.for_all
+           (fun key ->
+             let probe = key ^ "#" in
+             Bloom.mem t key && Bloom.mem t probe = List.for_all is_set (bits probe))
+           keys)
+
 let () =
   Alcotest.run "bloom"
     [
       ( "bloom",
         [
           qtest prop_no_false_negatives;
+          qtest prop_stepping_matches_reference;
           Alcotest.test_case "false positive rate" `Quick test_false_positive_rate;
           Alcotest.test_case "false positive rate at 100k keys" `Quick
             test_false_positive_rate_100k;

@@ -106,8 +106,8 @@ let test_sstable_shared_cache () =
   let clock = Sim.Clock.create () in
   let ssd = Ssd.create clock in
   let c = Cache.Block_cache.create ~clock ~capacity_bytes:(4 * 1024 * 1024) () in
-  let a = Sstable.of_sorted_list ssd (entries 500) in
-  let b = Sstable.of_sorted_list ssd (entries 500) in
+  let a = Sstable.build ssd (Array.of_list (entries 500)) in
+  let b = Sstable.build ssd (Array.of_list (entries 500)) in
   Sstable.attach_shared_cache a c;
   Sstable.attach_shared_cache b c;
   let probe t =

@@ -47,9 +47,9 @@ let test_pm_table_verify_salvage () =
   let survivors, lost = Pmtable.Pm_table.salvage_entries t in
   check Alcotest.bool "lost range recorded" true (lost <> None);
   check Alcotest.bool "fewer survivors than entries" true
-    (List.length survivors < Array.length entries);
+    (Array.length survivors < Array.length entries);
   check Alcotest.bool "survivors verbatim" true
-    (List.for_all
+    (Array.for_all
        (fun (e : Util.Kv.entry) -> Array.exists (fun e' -> e = e') entries)
        survivors)
 
@@ -62,7 +62,7 @@ let test_sstable_verify_salvage () =
     List.init 400 (fun i ->
         Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (String.make 24 'v'))
   in
-  let t = Sstable.of_sorted_list ssd entries in
+  let t = Sstable.build ssd (Array.of_list entries) in
   check Alcotest.bool "clean table verifies" true (Sstable.verify t = []);
   let file = Option.get (Ssd.find_file ssd (Sstable.file_id t)) in
   Ssd.corrupt_file ~len:16 ~mode:`Flip ssd file ~off:100;
@@ -70,7 +70,7 @@ let test_sstable_verify_salvage () =
   let survivors, lost = Sstable.salvage_entries t in
   check Alcotest.bool "lost range recorded" true (lost <> None);
   check Alcotest.bool "survivors verbatim" true
-    (List.for_all (fun (e : Util.Kv.entry) -> List.mem e entries) survivors)
+    (Array.for_all (fun (e : Util.Kv.entry) -> List.mem e entries) survivors)
 
 (* --- Verification memo ------------------------------------------------------ *)
 
@@ -157,7 +157,7 @@ let memo_sstable () =
     List.init 400 (fun i ->
         Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (String.make 24 'v'))
   in
-  let t = Sstable.of_sorted_list ssd entries in
+  let t = Sstable.build ssd (Array.of_list entries) in
   (ssd, Option.get (Ssd.find_file ssd (Sstable.file_id t)), t, entries)
 
 let raises_corrupted_block f =
@@ -244,7 +244,7 @@ let prop_memo_sstable_matches_fresh =
             Util.Kv.entry ~key:(Util.Keys.ycsb_key (i * 2)) ~seq:(i + 1)
               (Util.Xoshiro.string rng (Util.Xoshiro.int rng 40)))
       in
-      let t = Sstable.of_sorted_list ~block_bytes:512 ssd entries in
+      let t = Sstable.build ~block_bytes:512 ssd (Array.of_list entries) in
       let file = Option.get (Ssd.find_file ssd (Sstable.file_id t)) in
       let key i = Util.Keys.ycsb_key (i * 4 mod (n * 8)) in
       List.iter (fun i -> ignore (outcome (fun () -> Sstable.get t (key i)))) history;

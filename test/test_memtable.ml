@@ -33,14 +33,15 @@ let test_tombstone_hides () =
   | Some e -> check Alcotest.bool "tombstone visible to find" true (e.Util.Kv.kind = Util.Kv.Delete)
   | None -> Alcotest.fail "find lost the tombstone"
 
-let test_to_list_sorted () =
+let test_to_array_sorted () =
   let _, mt = make () in
   List.iter
     (fun (k, s) -> Memtable.insert mt (Util.Kv.entry ~key:k ~seq:s "v"))
     [ ("c", 1); ("a", 2); ("b", 3); ("a", 9); ("c", 4) ];
-  let l = Memtable.to_list mt in
-  check Alcotest.int "all entries" 5 (List.length l);
-  let sorted = List.sort Util.Kv.compare_entry l in
+  let l = Memtable.to_array mt in
+  check Alcotest.int "all entries" 5 (Array.length l);
+  let sorted = Array.copy l in
+  Array.sort Util.Kv.compare_entry sorted;
   check Alcotest.bool "sorted by (key asc, seq desc)" true (l = sorted)
 
 let test_range () =
@@ -109,13 +110,13 @@ let prop_model_equivalence =
         (fun key expected acc -> acc && Memtable.get mt key = expected)
         model true)
 
-let prop_to_list_count =
-  QCheck.Test.make ~name:"to_list preserves every version" ~count:100
+let prop_to_array_count =
+  QCheck.Test.make ~name:"to_array preserves every version" ~count:100
     QCheck.(list_of_size Gen.(int_range 0 80) (string_gen_of_size Gen.(int_range 1 2) Gen.(char_range 'a' 'd')))
     (fun keys ->
       let _, mt = make () in
       List.iteri (fun seq key -> Memtable.insert mt (Util.Kv.entry ~key ~seq "v")) keys;
-      List.length (Memtable.to_list mt) = List.length keys)
+      Array.length (Memtable.to_array mt) = List.length keys)
 
 let () =
   Alcotest.run "memtable"
@@ -125,12 +126,12 @@ let () =
           Alcotest.test_case "insert/get" `Quick test_insert_get;
           Alcotest.test_case "newest version wins" `Quick test_newest_version_wins;
           Alcotest.test_case "tombstone hides" `Quick test_tombstone_hides;
-          Alcotest.test_case "to_list sorted" `Quick test_to_list_sorted;
+          Alcotest.test_case "to_array sorted" `Quick test_to_array_sorted;
           Alcotest.test_case "range" `Quick test_range;
           Alcotest.test_case "byte size" `Quick test_byte_size_tracks;
           Alcotest.test_case "charges clock" `Quick test_charges_clock;
           Alcotest.test_case "seq range" `Quick test_seq_range;
           qtest prop_model_equivalence;
-          qtest prop_to_list_count;
+          qtest prop_to_array_count;
         ] );
     ]

@@ -50,7 +50,7 @@ let newest_by_key entries =
 let test_model_equivalence (name, kind) () =
   let _, dev = make_dev () in
   let entries = make_entries 600 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = Pmtable.Table.build dev ~kind (Array.of_list entries) in
   let model = newest_by_key entries in
   Hashtbl.iter
     (fun key (expected : Util.Kv.entry) ->
@@ -65,8 +65,8 @@ let test_model_equivalence (name, kind) () =
 let test_iter_sorted_and_complete (name, kind) () =
   let _, dev = make_dev () in
   let entries = make_entries 400 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
-  let got = Pmtable.Table.to_list tbl in
+  let tbl = Pmtable.Table.build dev ~kind (Array.of_list entries) in
+  let got = Array.to_list (Pmtable.Table.to_array tbl) in
   check Alcotest.int (name ^ " count") (List.length entries) (List.length got);
   check Alcotest.bool (name ^ " identical stream") true
     (List.for_all2 (fun (a : Util.Kv.entry) b -> a = b) entries got)
@@ -74,7 +74,7 @@ let test_iter_sorted_and_complete (name, kind) () =
 let test_range (name, kind) () =
   let _, dev = make_dev () in
   let entries = make_entries 400 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = Pmtable.Table.build dev ~kind (Array.of_list entries) in
   let start = "t0001" and stop = "t0002" in
   let expected =
     List.filter (fun (e : Util.Kv.entry) -> e.key >= start && e.key < stop) entries
@@ -89,7 +89,7 @@ let test_range (name, kind) () =
 let test_metadata (name, kind) () =
   let _, dev = make_dev () in
   let entries = make_entries 100 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = Pmtable.Table.build dev ~kind (Array.of_list entries) in
   let first = List.hd entries and last = List.nth entries (List.length entries - 1) in
   check Alcotest.string (name ^ " min key") first.Util.Kv.key (Pmtable.Table.min_key tbl);
   check Alcotest.string (name ^ " max key") last.Util.Kv.key (Pmtable.Table.max_key tbl);
@@ -101,7 +101,7 @@ let test_free_releases (name, kind) () =
   let _, dev = make_dev () in
   let entries = make_entries 100 in
   let before = Pmem.used dev in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = Pmtable.Table.build dev ~kind (Array.of_list entries) in
   check Alcotest.bool (name ^ " allocates") true (Pmem.used dev > before);
   Pmtable.Table.free tbl;
   check Alcotest.int (name ^ " frees") before (Pmem.used dev)
@@ -115,7 +115,7 @@ let test_version_pileup (name, kind) () =
     @ [ Util.Kv.entry ~key:(Util.Keys.record_key ~table_id:1 ~row_id:100) ~seq:99 "other" ]
   in
   let entries = List.sort Util.Kv.compare_entry entries in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = Pmtable.Table.build dev ~kind (Array.of_list entries) in
   (match Pmtable.Table.get tbl hot with
   | Some e -> check Alcotest.int (name ^ " newest of pileup") 50 e.Util.Kv.seq
   | None -> Alcotest.failf "%s lost hot key" name);
@@ -126,7 +126,7 @@ let test_version_pileup (name, kind) () =
 let test_single_entry (name, kind) () =
   let _, dev = make_dev () in
   let e = Util.Kv.entry ~key:"only" ~seq:1 "v" in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind [ e ] in
+  let tbl = Pmtable.Table.build dev ~kind [| e |] in
   check Alcotest.bool (name ^ " found") true (Pmtable.Table.get tbl "only" <> None);
   check Alcotest.bool (name ^ " absent below") true (Pmtable.Table.get tbl "aaa" = None);
   check Alcotest.bool (name ^ " absent above") true (Pmtable.Table.get tbl "zzz" = None)
@@ -151,7 +151,7 @@ let test_pm_table_compresses () =
           ~seq:(i + 1) (Util.Xoshiro.string (Util.Xoshiro.create i) 16))
     |> List.sort Util.Kv.compare_entry
   in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Pm_compressed entries in
+  let tbl = Pmtable.Table.build dev ~kind:Pmtable.Table.Pm_compressed (Array.of_list entries) in
   let ratio =
     float_of_int (Pmtable.Table.byte_size tbl) /. float_of_int (Pmtable.Table.payload_bytes tbl)
   in
@@ -161,10 +161,10 @@ let test_pm_table_faster_build_than_array () =
   let clock, dev = make_dev () in
   let entries = make_entries 2000 in
   let t0 = Sim.Clock.now clock in
-  let pm_tbl = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Pm_compressed entries in
+  let pm_tbl = Pmtable.Table.build dev ~kind:Pmtable.Table.Pm_compressed (Array.of_list entries) in
   let pm_build = Sim.Clock.now clock -. t0 in
   let t1 = Sim.Clock.now clock in
-  let arr_tbl = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_plain entries in
+  let arr_tbl = Pmtable.Table.build dev ~kind:Pmtable.Table.Array_plain (Array.of_list entries) in
   let array_build = Sim.Clock.now clock -. t1 in
   check Alcotest.bool "compressed table builds faster (fewer PM bytes)" true
     (pm_build < array_build);
@@ -174,8 +174,8 @@ let test_pm_table_faster_build_than_array () =
 let test_snappy_read_slower_than_array () =
   let clock, dev = make_dev () in
   let entries = make_entries 1000 in
-  let arr = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_plain entries in
-  let snap = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_snappy entries in
+  let arr = Pmtable.Table.build dev ~kind:Pmtable.Table.Array_plain (Array.of_list entries) in
+  let snap = Pmtable.Table.build dev ~kind:Pmtable.Table.Array_snappy (Array.of_list entries) in
   let probe_keys =
     List.filteri (fun i _ -> i mod 7 = 0) entries
     |> List.map (fun (e : Util.Kv.entry) -> e.key)
@@ -194,10 +194,10 @@ let test_snappy_group_builds_faster_than_per_pair () =
   let clock, dev = make_dev () in
   let entries = make_entries 2000 in
   let t0 = Sim.Clock.now clock in
-  ignore (Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_snappy entries);
+  ignore (Pmtable.Table.build dev ~kind:Pmtable.Table.Array_snappy (Array.of_list entries));
   let per_pair = Sim.Clock.now clock -. t0 in
   let t1 = Sim.Clock.now clock in
-  ignore (Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_snappy_group entries);
+  ignore (Pmtable.Table.build dev ~kind:Pmtable.Table.Array_snappy_group (Array.of_list entries));
   let grouped = Sim.Clock.now clock -. t1 in
   check Alcotest.bool "group compression builds faster" true (grouped < per_pair)
 
@@ -210,7 +210,7 @@ let prop_pm_table_model =
         List.mapi (fun seq (key, value) -> Util.Kv.entry ~key ~seq value) pairs
         |> List.sort Util.Kv.compare_entry
       in
-      let tbl = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Pm_compressed entries in
+      let tbl = Pmtable.Table.build dev ~kind:Pmtable.Table.Pm_compressed (Array.of_list entries) in
       let model = newest_by_key entries in
       Hashtbl.fold
         (fun key (expected : Util.Kv.entry) acc ->
@@ -282,6 +282,52 @@ let test_bloom_screens_pm_reads () =
   check Alcotest.bool "probes counted" true (!Pmtable.Pm_table.bloom_probes > 0);
   check Alcotest.bool "negatives counted" true (!Pmtable.Pm_table.bloom_negatives > 0)
 
+(* A slice builds the very region the sub-array builds; entries outside
+   the slice (here out of order) are never looked at. *)
+let test_slice_build (name, kind) () =
+  let _, dev = make_dev () in
+  let entries = Array.of_list (make_entries 300) in
+  let bytes tbl =
+    let region = Option.get (Pmem.find_region dev (Pmtable.Table.region_id tbl)) in
+    Pmem.unsafe_peek region ~off:0 ~len:(Pmem.region_len region)
+  in
+  let whole = Pmtable.Table.build dev ~kind (Array.sub entries 30 200) in
+  let junk = Util.Kv.entry ~key:"zzz" ~seq:0 "" in
+  let padded = Array.concat [ [| junk |]; entries; [| junk |] ] in
+  let slice = Pmtable.Table.build ~pos:31 ~len:200 dev ~kind padded in
+  check Alcotest.string (name ^ " same region bytes") (bytes whole) (bytes slice);
+  check Alcotest.bool (name ^ " out-of-bounds slice raises") true
+    (try ignore (Pmtable.Table.build ~pos:250 ~len:100 dev ~kind entries); false
+     with Invalid_argument _ -> true)
+
+(* A string of at least a chunk arriving on an empty staging buffer goes
+   straight to the device as the one write (and line-aligned flush) its
+   spill would have issued; anything else is staged as before. *)
+let test_builder_direct_write () =
+  let _, dev = make_dev () in
+  let region = Pmem.alloc dev 20_000 in
+  let flushes = ref [] in
+  Pmem.set_flush_hook dev
+    (Some
+       (fun ~region_id:_ ~off ~len ->
+         flushes := (off, len) :: !flushes;
+         Pmem.Flush_ok));
+  let writes () = (Pmem.stats dev).Pmem.writes in
+  let b = Pmtable.Builder.create ~chunk:4096 dev region in
+  let big = String.make 10_000 'x' and tail = String.make 5_000 'y' in
+  Pmtable.Builder.add_string b big;
+  check Alcotest.int "one write of the whole string" 1 (writes ());
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "completed lines flushed"
+    [ (0, 9984) ] !flushes;
+  Pmtable.Builder.add_string b "abc";
+  Pmtable.Builder.add_string b tail;
+  check Alcotest.int "staged bytes spill as one write" 2 (writes ());
+  check Alcotest.int "finish returns the length" 15_003 (Pmtable.Builder.finish b);
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "each line flushed once"
+    [ (0, 9984); (9984, 4992); (14976, 27) ] (List.rev !flushes);
+  check Alcotest.string "bytes in order" (big ^ "abc" ^ tail)
+    (Pmem.unsafe_peek region ~off:0 ~len:15_003)
+
 let per_kind name f =
   List.map (fun (kname, kind) -> Alcotest.test_case (name ^ " [" ^ kname ^ "]") `Quick (f (kname, kind))) all_kinds
 
@@ -296,7 +342,9 @@ let () =
         @ per_kind "free releases" test_free_releases
         @ per_kind "version pileup" test_version_pileup
         @ per_kind "single entry" test_single_entry
-        @ per_kind "empty rejected" test_empty_rejected );
+        @ per_kind "empty rejected" test_empty_rejected
+        @ per_kind "slice build" test_slice_build );
+      ("builder", [ Alcotest.test_case "direct write of a full chunk" `Quick test_builder_direct_write ]);
       ( "paper properties",
         [
           Alcotest.test_case "pm table compresses index keys" `Quick test_pm_table_compresses;

@@ -38,7 +38,7 @@ let test_pm_table_reopen () =
         (Pmtable.Pm_table.get reopened e.key = Pmtable.Pm_table.get built e.key))
     entries;
   check Alcotest.bool "iter identical" true
-    (Pmtable.Pm_table.to_list reopened = Pmtable.Pm_table.to_list built)
+    (Pmtable.Pm_table.to_array reopened = Pmtable.Pm_table.to_array built)
 
 let test_pm_table_reopen_bad_magic () =
   let clock = Sim.Clock.create () in
@@ -56,7 +56,7 @@ let test_sstable_reopen () =
   let entries =
     List.init 400 (fun i -> Util.Kv.entry ~key:(Util.Keys.ycsb_key (i * 3)) ~seq:(i + 1) "v")
   in
-  let built = Sstable.of_sorted_list ssd entries in
+  let built = Sstable.build ssd (Array.of_list entries) in
   let file = Option.get (Ssd.find_file ssd (Sstable.file_id built)) in
   let reopened = Sstable.open_existing ssd file in
   check Alcotest.int "count" (Sstable.count built) (Sstable.count reopened);

@@ -16,10 +16,10 @@ let entries n =
 let test_roundtrip () =
   let _, ssd = make () in
   let es = entries 500 in
-  let sst = Sstable.of_sorted_list ssd es in
+  let sst = Sstable.build ssd (Array.of_list es) in
   check Alcotest.int "count" 500 (Sstable.count sst);
   check Alcotest.bool "stream identical" true
-    (List.for_all2 (fun (a : Util.Kv.entry) b -> a = b) es (Sstable.to_list sst));
+    (List.for_all2 (fun (a : Util.Kv.entry) b -> a = b) es (Array.to_list (Sstable.to_array sst)));
   List.iter
     (fun (e : Util.Kv.entry) ->
       match Sstable.get sst e.key with
@@ -29,7 +29,7 @@ let test_roundtrip () =
 
 let test_absent_keys () =
   let _, ssd = make () in
-  let sst = Sstable.of_sorted_list ssd (entries 100) in
+  let sst = Sstable.build ssd (Array.of_list (entries 100)) in
   (* odd ranks were never inserted *)
   check Alcotest.bool "absent inside range" true (Sstable.get sst (Util.Keys.ycsb_key 3) = None);
   check Alcotest.bool "absent below" true (Sstable.get sst "a" = None);
@@ -37,7 +37,7 @@ let test_absent_keys () =
 
 let test_bloom_saves_reads () =
   let _, ssd = make () in
-  let sst = Sstable.of_sorted_list ssd (entries 1000) in
+  let sst = Sstable.build ssd (Array.of_list (entries 1000)) in
   let misses () =
     for i = 0 to 499 do
       ignore (Sstable.get sst (Util.Keys.ycsb_key ((i * 2) + 1)))
@@ -58,7 +58,7 @@ let test_bloom_saves_reads () =
 
 let test_block_cache_latency () =
   let clock, ssd = make () in
-  let sst = Sstable.of_sorted_list ssd (entries 1000) in
+  let sst = Sstable.build ssd (Array.of_list (entries 1000)) in
   let probe = Util.Keys.ycsb_key 500 in
   let timed f = snd (Sim.Clock.time clock f) in
   let cold = timed (fun () -> ignore (Sstable.get sst probe)) in
@@ -75,7 +75,7 @@ let test_block_cache_latency () =
 let test_range () =
   let _, ssd = make () in
   let es = entries 300 in
-  let sst = Sstable.of_sorted_list ssd es in
+  let sst = Sstable.build ssd (Array.of_list es) in
   let start = Util.Keys.ycsb_key 100 and stop = Util.Keys.ycsb_key 200 in
   let expected = List.filter (fun (e : Util.Kv.entry) -> e.key >= start && e.key < stop) es in
   let got = ref [] in
@@ -85,7 +85,7 @@ let test_range () =
 let test_metadata_and_overlap () =
   let _, ssd = make () in
   let es = entries 50 in
-  let sst = Sstable.of_sorted_list ssd es in
+  let sst = Sstable.build ssd (Array.of_list es) in
   check Alcotest.string "min" (Util.Keys.ycsb_key 0) (Sstable.min_key sst);
   check Alcotest.string "max" (Util.Keys.ycsb_key 98) (Sstable.max_key sst);
   check Alcotest.bool "overlap inside" true
@@ -93,7 +93,7 @@ let test_metadata_and_overlap () =
   check Alcotest.bool "overlap outside" false
     (Sstable.overlaps sst ~min:(Util.Keys.ycsb_key 99) ~max:(Util.Keys.ycsb_key 200));
   (* a table bigger than one block splits *)
-  let big = Sstable.of_sorted_list ssd (entries 500) in
+  let big = Sstable.build ssd (Array.of_list (entries 500)) in
   check Alcotest.bool "multi-block" true (Sstable.block_count big > 1)
 
 let test_versions_within_table () =
@@ -106,7 +106,7 @@ let test_versions_within_table () =
     ]
     |> List.sort Util.Kv.compare_entry
   in
-  let sst = Sstable.of_sorted_list ssd es in
+  let sst = Sstable.build ssd (Array.of_list es) in
   (match Sstable.get sst "k" with
   | Some e -> check Alcotest.string "newest version" "newest" e.Util.Kv.value
   | None -> Alcotest.fail "lost k");
@@ -116,14 +116,44 @@ let test_versions_within_table () =
 
 let test_empty_rejected () =
   let _, ssd = make () in
-  let b = Sstable.create_builder ssd in
   check Alcotest.bool "empty raises" true
-    (try ignore (Sstable.finish b); false with Invalid_argument _ -> true)
+    (try ignore (Sstable.build ssd [||]); false with Invalid_argument _ -> true)
+
+(* Versions of one key must arrive newest first: [get] serves the first
+   match, so an ascending-seq pair would serve the stale version. *)
+let test_version_order_checked () =
+  let _, ssd = make () in
+  let stale = Util.Kv.entry ~key:"k" ~seq:1 "old" and fresh = Util.Kv.entry ~key:"k" ~seq:2 "new" in
+  check Alcotest.bool "ascending seq within a key raises" true
+    (try ignore (Sstable.build ssd [| stale; fresh |]); false with Invalid_argument _ -> true);
+  check Alcotest.bool "descending key order raises" true
+    (try ignore (Sstable.build ssd [| Util.Kv.entry ~key:"b" ~seq:1 "v"; Util.Kv.entry ~key:"a" ~seq:2 "v" |]); false
+     with Invalid_argument _ -> true);
+  let sst = Sstable.build ssd [| fresh; stale |] in
+  check (Alcotest.option Alcotest.string) "newest served" (Some "new")
+    (Option.map (fun (e : Util.Kv.entry) -> e.value) (Sstable.get sst "k"))
+
+(* A slice builds the same file as the sub-array would, and only the slice
+   is checked: out-of-order entries outside it do not matter. *)
+let test_slice_build () =
+  let _, ssd = make () in
+  let es = Array.of_list (entries 300) in
+  let whole = Sstable.build ssd (Array.sub es 40 200) in
+  let junk = Util.Kv.entry ~key:"zzz" ~seq:0 "" in
+  let padded = Array.concat [ [| junk |]; es; [| junk |] ] in
+  let slice = Sstable.build ~pos:41 ~len:200 ssd padded in
+  let bytes t =
+    let f = Option.get (Ssd.find_file ssd (Sstable.file_id t)) in
+    Ssd.pread ssd f ~off:0 ~len:(Ssd.file_size f)
+  in
+  check Alcotest.string "same file bytes" (bytes whole) (bytes slice);
+  check Alcotest.bool "out-of-bounds slice raises" true
+    (try ignore (Sstable.build ~pos:250 ~len:100 ssd es); false with Invalid_argument _ -> true)
 
 let test_write_charged () =
   let clock, ssd = make () in
   let t0 = Sim.Clock.now clock in
-  ignore (Sstable.of_sorted_list ssd (entries 500));
+  ignore (Sstable.build ssd (Array.of_list (entries 500)));
   check Alcotest.bool "build charges device time" true (Sim.Clock.now clock > t0);
   check Alcotest.bool "bytes accounted" true ((Ssd.stats ssd).Ssd.bytes_written > 0)
 
@@ -136,7 +166,7 @@ let prop_model =
         List.mapi (fun seq (key, value) -> Util.Kv.entry ~key ~seq value) pairs
         |> List.sort Util.Kv.compare_entry
       in
-      let sst = Sstable.of_sorted_list ssd entries in
+      let sst = Sstable.build ssd (Array.of_list entries) in
       let model = Hashtbl.create 16 in
       List.iter
         (fun (e : Util.Kv.entry) ->
@@ -156,7 +186,7 @@ let prop_model =
 
 let test_checksum_detects_corruption () =
   let _, ssd = make () in
-  let sst = Sstable.of_sorted_list ssd (entries 200) in
+  let sst = Sstable.build ssd (Array.of_list (entries 200)) in
   (* healthy read first *)
   check Alcotest.bool "clean read works" true (Sstable.get sst (Util.Keys.ycsb_key 100) <> None);
   (* flip a byte inside the first data block *)
@@ -182,6 +212,8 @@ let () =
           Alcotest.test_case "metadata + overlap" `Quick test_metadata_and_overlap;
           Alcotest.test_case "versions within table" `Quick test_versions_within_table;
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
+          Alcotest.test_case "version order checked" `Quick test_version_order_checked;
+          Alcotest.test_case "slice build" `Quick test_slice_build;
           Alcotest.test_case "writes charged" `Quick test_write_charged;
           Alcotest.test_case "checksum detects corruption" `Quick test_checksum_detects_corruption;
           qtest prop_model;

@@ -431,6 +431,18 @@ let prop_kv_decode_from_prefix =
       let decoded = List.map (fun _ -> Util.Kv.decode_from ~key_prefix:prefix cur) es in
       raw = encode_all es && decoded = full && Util.Cursor.pos cur = String.length raw)
 
+(* The one-image encoder writes exactly the Buffer encoder's bytes into an
+   image sized by [stripped_size]. *)
+let prop_kv_encode_at =
+  QCheck.Test.make ~name:"encode_at into a stripped_size image = encode" ~count:300
+    prefixed_run_arb (fun (prefix, es, _) ->
+      let full = with_prefix prefix es in
+      let strip = String.length prefix in
+      let size = List.fold_left (fun acc e -> acc + Util.Kv.stripped_size ~strip e) 0 full in
+      let image = Bytes.create size in
+      let stop = List.fold_left (fun pos e -> Util.Kv.encode_at ~strip image pos e) 0 full in
+      stop = size && Bytes.to_string image = encode_all ~strip full)
+
 let prop_kv_find_from =
   QCheck.Test.make ~name:"find_from = first decoded match" ~count:300 prefixed_run_arb
     (fun (prefix, es, pick) ->
@@ -602,6 +614,7 @@ let () =
           qtest prop_kv_order_newest_first;
           Alcotest.test_case "key-major order" `Quick test_kv_order_key_major;
           qtest prop_kv_decode_from_prefix;
+          qtest prop_kv_encode_at;
           qtest prop_kv_find_from;
           qtest prop_cursor_compare_string;
           qtest prop_kv_find_sorted;
