@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check selftest crashtest scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
+.PHONY: all build test check selftest crashtest scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fig8-leg fmt clean
 
 all: build
 
@@ -112,6 +112,13 @@ doctor:
 #   dune exec bench/main.exe -- attr --json BENCH_attr.json
 perf-gate:
 	sh scripts/check_perf.sh BENCH_attr.json
+
+# Host-cost gate on the Fig 8a uniform PMBlade leg (49,648 puts of 1 KB):
+# prints host seconds and minor words per put, and exits 1 when the
+# simulated digest (user/PM/SSD bytes and the final clock bits) moves or
+# the allocation exceeds 4,000 minor words per put.
+fig8-leg:
+	dune exec bench/main.exe -- fig8-leg
 
 fmt:
 	dune build @fmt --auto-promote

@@ -84,6 +84,43 @@ let fig8a () =
   Report.note "paper (uniform, 200 GB): RocksDB 2573 GB, PMBlade-PM 825 GB,";
   Report.note "PMBlade 359 GB (201 PM + 158 SSD) - PMBlade absorbs WA in PM."
 
+(* The uniform PMBlade leg of Fig 8a on its own, as a host-cost gate: it
+   times the load and counts minor words per put, and fails (exit 1) when
+   the simulated digest moves — user, PM and SSD bytes and the bits of the
+   final virtual clock, which every simulated cost feeds — or when the
+   allocation per put exceeds [max_words_per_put]. *)
+let leg_digest = (51_964_946, 257_909_900, 41_738_098, 0x41cebb4805b0f6fdL)
+let max_words_per_put = 4_000.0
+
+let fig8_leg () =
+  Report.heading "Fig 8a leg: uniform keys, PMBlade — host cost";
+  let cfg = shrink Core.Config.pmblade in
+  let puts = written_bytes / (value_bytes + 32) in
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let eng = load cfg ~theta:0.0 in
+  let host_s = Unix.gettimeofday () -. t0 and words = Gc.minor_words () -. w0 in
+  let words_per_put = words /. float_of_int puts in
+  let digest =
+    ( Core.Engine.user_bytes eng,
+      Core.Engine.pm_bytes_written eng,
+      Core.Engine.ssd_bytes_written eng,
+      Int64.bits_of_float (Sim.Clock.now (Core.Engine.clock eng)) )
+  in
+  let show (user, pm, ssd, clock) = Printf.sprintf "user %d  PM %d  SSD %d  clock %Lx" user pm ssd clock in
+  Report.table ~header:[ "puts"; "host s"; "minor words/put"; "simulated digest" ]
+    [ [ string_of_int puts; Printf.sprintf "%.2f" host_s; Printf.sprintf "%.0f" words_per_put; show digest ] ];
+  let failures =
+    (if digest <> leg_digest then [ "simulated digest moved; expected " ^ show leg_digest ] else [])
+    @
+    if words_per_put > max_words_per_put then
+      [ Printf.sprintf "%.0f minor words per put exceeds %.0f" words_per_put max_words_per_put ]
+    else []
+  in
+  if failures <> [] then begin
+    List.iter (Printf.printf "  FAIL: %s\n") failures;
+    exit 1
+  end
+
 let fig8b () =
   Report.heading "Fig 8b: fraction of reads served from PM vs data skew (50r/50w)";
   let skews = [ 0.0; 0.3; 0.6; 0.9; 0.99 ] in

@@ -5,8 +5,10 @@
    plain array-table lookup, the SSTable point lookup, the LZ codec, the
    Bloom filter and the CRC32 kernel every stored block is checked with, and
    the compaction data plane: an 8-way merge and the PM-table and SSTable
-   builds of a 4096-entry run. These measure real host nanoseconds, not
-   simulated time. *)
+   builds of a 4096-entry run; the load generator's 1 KB value; and the
+   first read of a freshly built table, which the memo seeded at build
+   serves without a checksum pass. These measure real host nanoseconds and
+   minor words per call, not simulated time. *)
 
 (* Bechamel's toolkit has a [Compaction] module of its own. *)
 module Merge = Compaction.Merge
@@ -61,6 +63,33 @@ let make_merge_runs () =
       Array.sort Util.Kv.compare_entry run;
       run)
 
+(* The first lookup of a table right after its build: [tables] one-group
+   tables of eight 1 KB values are built, then each is probed once, timing
+   only the probes. Mean host ns and minor words per first read, over
+   [rounds] rounds. *)
+let first_read_after_build ?(tables = 128) ?(rounds = 20) () =
+  let pm = Pmem.create ~params:{ Pmem.default_params with capacity = 64 * 1024 * 1024 } (Sim.Clock.create ()) in
+  let rng = Util.Xoshiro.create 41 in
+  let ns = ref 0.0 and words = ref 0.0 in
+  for _ = 1 to rounds do
+    let built =
+      Array.init tables (fun t ->
+          let entries =
+            Array.init 8 (fun i ->
+                Util.Kv.entry ~key:(Util.Keys.ycsb_key ((t * 8) + i)) ~seq:(i + 1)
+                  (Util.Xoshiro.string rng 1024))
+          in
+          (Pmtable.Pm_table.build pm entries, entries.(3).Util.Kv.key))
+    in
+    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    Array.iter (fun (tbl, k) -> ignore (Sys.opaque_identity (Pmtable.Pm_table.get tbl k))) built;
+    ns := !ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
+    words := !words +. (Gc.minor_words () -. w0);
+    Array.iter (fun (tbl, _) -> Pmtable.Pm_table.free tbl) built
+  done;
+  let calls = float_of_int (tables * rounds) in
+  (!ns /. calls, !words /. calls)
+
 let tests () =
   let entries, pm_tbl, arr_tbl = make_pm_fixture () in
   let hot_tbl, hot = make_hot_fixture () in
@@ -79,21 +108,32 @@ let tests () =
   in
   let build_ssd = Ssd.create (Sim.Clock.create ()) in
   [
-    Test.make ~name:"pm_table.get" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ()))));
-    Test.make ~name:"pm_table.get-1KB" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get hot_tbl hot.(Util.Xoshiro.int rng 16))));
-    Test.make ~name:"sstable.get" (Staged.stage (fun () -> ignore (Sstable.get sst (key ()))));
-    Test.make ~name:"array_table.get" (Staged.stage (fun () -> ignore (Pmtable.Array_table.get arr_tbl (key ()))));
-    Test.make ~name:"lz.compress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.compress sample)));
-    Test.make ~name:"lz.decompress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.decompress compressed)));
-    Test.make ~name:"bloom.mem" (Staged.stage (fun () -> ignore (Bloom.mem bloom (key ()))));
-    Test.make ~name:"bloom.add" (Staged.stage (fun () -> Bloom.add fresh_bloom (key ())));
-    Test.make ~name:"crc32-64B" (Staged.stage (fun () -> ignore (Util.Crc32.string block_64)));
-    Test.make ~name:"crc32-4KB" (Staged.stage (fun () -> ignore (Util.Crc32.string block_4k)));
-    Test.make ~name:"pm_table.to_array-4096" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.to_array pm_tbl)));
-    Test.make ~name:"merge-8x2048" (Staged.stage (fun () -> ignore (Merge.merge ~clock:merge_clock runs)));
-    Test.make ~name:"pm_table.build-4096" (Staged.stage (fun () -> Pmtable.Pm_table.free (Pmtable.Pm_table.build build_pm entries)));
-    Test.make ~name:"sstable.build-4096" (Staged.stage (fun () -> Sstable.delete (Sstable.build build_ssd entries)));
+    ("pm_table.get", fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ())));
+    ("pm_table.get-1KB", fun () -> ignore (Pmtable.Pm_table.get hot_tbl hot.(Util.Xoshiro.int rng 16)));
+    ("sstable.get", fun () -> ignore (Sstable.get sst (key ())));
+    ("array_table.get", fun () -> ignore (Pmtable.Array_table.get arr_tbl (key ())));
+    ("lz.compress-1KB", fun () -> ignore (Compress.Lz.compress sample));
+    ("lz.decompress-1KB", fun () -> ignore (Compress.Lz.decompress compressed));
+    ("bloom.mem", fun () -> ignore (Bloom.mem bloom (key ())));
+    ("bloom.add", fun () -> Bloom.add fresh_bloom (key ()));
+    ("crc32-64B", fun () -> ignore (Util.Crc32.string block_64));
+    ("crc32-4KB", fun () -> ignore (Util.Crc32.string block_4k));
+    ("pm_table.to_array-4096", fun () -> ignore (Pmtable.Pm_table.to_array pm_tbl));
+    ("merge-8x2048", fun () -> ignore (Merge.merge ~clock:merge_clock runs));
+    ("pm_table.build-4096", fun () -> Pmtable.Pm_table.free (Pmtable.Pm_table.build build_pm entries));
+    ("sstable.build-4096", fun () -> Sstable.delete (Sstable.build build_ssd entries));
+    ("xoshiro.string-1KB", fun () -> ignore (Util.Xoshiro.string rng 1024));
   ]
+
+(* Minor words per call of [f], from [Gc.minor_words] (Bechamel's
+   allocation instance reads [Gc.quick_stat], which OCaml 5 only refreshes
+   at minor collections). *)
+let words_per_call ?(calls = 200) f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
 
 let run () =
   Report.heading "Micro: wall-clock cost of core primitives (Bechamel)";
@@ -104,9 +144,8 @@ let run () =
   in
   let rows =
     List.map
-      (fun test ->
-        let results = Benchmark.all cfg instances test in
-        let name = Test.Elt.name (List.hd (Test.elements test)) in
+      (fun (name, f) ->
+        let results = Benchmark.all cfg instances (Test.make ~name (Staged.stage f)) in
         let analysis = Analyze.all ols Instance.monotonic_clock results in
         let estimate =
           Hashtbl.fold
@@ -116,7 +155,15 @@ let run () =
               | _ -> acc)
             analysis 0.0
         in
-        [ name; Printf.sprintf "%.0f ns/op" estimate ])
+        [ name; Printf.sprintf "%.0f ns/op" estimate; Printf.sprintf "%.0f" (words_per_call f) ])
       (tests ())
   in
-  Report.table ~header:[ "primitive"; "wall-clock cost" ] rows
+  let first_ns, first_words = first_read_after_build () in
+  let first =
+    [
+      "pm_table.get-1KB first read after build";
+      Printf.sprintf "%.0f ns/op" first_ns;
+      Printf.sprintf "%.0f" first_words;
+    ]
+  in
+  Report.table ~header:[ "primitive"; "wall-clock cost"; "minor words/op" ] (rows @ [ first ])

@@ -20,6 +20,8 @@ let experiments =
         Bench_fig7.fig7a (); Bench_fig7.fig7b ());
     ("fig8", "Fig 8a+8b: write amplification + PM hit ratio", fun () ->
         Bench_fig8.fig8a (); Bench_fig8.fig8b ());
+    ("fig8-leg", "Fig 8a uniform PMBlade leg: host cost + simulated digest gate",
+     Bench_fig8.fig8_leg);
     ("fig9", "Fig 9a-9d: coroutine-based compaction", Bench_fig9.run);
     ("fig10", "Fig 10: ablation on the retail workload", Bench_fig10.run);
     ("fig11", "Fig 11: four systems on the retail workload", Bench_fig11.run);

@@ -234,15 +234,24 @@ let read_byte t region ~off =
   | None -> ());
   Bytes.get region.buf off
 
-let write t region ~off src =
-  let len = String.length src in
+let write_sub t region ~off src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length src then
+    invalid_arg "Pmem.write_sub: source out of bounds";
   check_bounds "Pmem.write" region off len;
   charge_write t len;
   (match t.san with
   | Some san -> Sanitize.Pmsan.on_write san ~id:region.id ~off ~len
   | None -> ());
-  Bytes.blit_string src 0 region.buf off len;
+  Bytes.blit_string src pos region.buf off len;
   region.gen <- region.gen + 1
+
+let write t region ~off src = write_sub t region ~off src ~pos:0 ~len:(String.length src)
+
+(* Host-side comparison of the whole region with [image]: no charge, no
+   sanitizer event, no generation change — a builder's check that the
+   bytes it stored are the bytes it checksummed. *)
+let holds_image region image =
+  region.live && String.equal (Bytes.unsafe_to_string region.buf) image
 
 let flush t region ~off ~len =
   check_bounds "Pmem.flush" region off len;

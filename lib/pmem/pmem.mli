@@ -75,6 +75,18 @@ val read : t -> region -> off:int -> len:int -> string
 val read_byte : t -> region -> off:int -> char
 val write : t -> region -> off:int -> string -> unit
 
+val write_sub : t -> region -> off:int -> string -> pos:int -> len:int -> unit
+(** [write_sub t r ~off s ~pos ~len] is [write t r ~off (String.sub s pos
+    len)] without the copy: the same charge, sanitizer event and
+    generation bump. *)
+
+val holds_image : region -> string -> bool
+(** [holds_image r image]: the live region's bytes are exactly [image]
+    (same length, same bytes). Host-only, at memcmp speed: it charges no
+    simulated time, raises no sanitizer event and leaves the generation
+    alone, so a builder can confirm that what it stored is what it
+    checksummed. *)
+
 val flush : t -> region -> off:int -> len:int -> unit
 (** Simulated clwb over the range: charges per-cache-line cost and marks the
     bytes durable. *)

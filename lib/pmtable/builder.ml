@@ -28,6 +28,12 @@ let line_bytes = 64
 let chaos_skip_flush = ref false
 let chaos_skip_drain = ref false
 
+(* Planted-bug kill switch for the integrity tests: store every device
+   write with its first byte inverted, so the region no longer holds the
+   image its checksums were computed from. A table build must then leave
+   its verification memo empty. Never set in production code. *)
+let chaos_damage_write = ref false
+
 let create ?(chunk = default_chunk) dev region =
   {
     dev;
@@ -47,28 +53,36 @@ let flush_upto t upto =
     Pmem.flush t.dev t.region ~off:t.flushed_upto ~len:(upto - t.flushed_upto);
   t.flushed_upto <- max t.flushed_upto upto
 
-(* One device write of [data] at the append position. *)
-let write_out t data =
-  Pmem.write t.dev t.region ~off:t.written data;
-  t.written <- t.written + String.length data;
+(* One device write of [s.[pos .. pos+len-1]] at the append position. *)
+let write_out t s ~pos ~len =
+  if !chaos_damage_write && len > 0 then begin
+    let damaged = Bytes.of_string (String.sub s pos len) in
+    Bytes.set damaged 0 (Char.chr (Char.code (Bytes.get damaged 0) lxor 0xff));
+    Pmem.write t.dev t.region ~off:t.written (Bytes.unsafe_to_string damaged)
+  end
+  else Pmem.write_sub t.dev t.region ~off:t.written s ~pos ~len;
+  t.written <- t.written + len;
   (* leave a partial tail line dirty: the next chunk finishes it *)
   flush_upto t (t.written land lnot (line_bytes - 1))
 
 let spill t =
-  if Buffer.length t.staging > 0 then begin
-    write_out t (Buffer.contents t.staging);
+  let len = Buffer.length t.staging in
+  if len > 0 then begin
+    write_out t (Buffer.contents t.staging) ~pos:0 ~len;
     Buffer.clear t.staging
   end
 
-(* A string of at least a chunk arriving on an empty staging buffer would
-   fill it and spill at once, as exactly one write of the string itself:
+(* A slice of at least a chunk arriving on an empty staging buffer would
+   fill it and spill at once, as exactly one write of the slice itself:
    issue that write directly and skip both staging copies. *)
-let add_string t s =
-  if Buffer.length t.staging = 0 && String.length s >= t.chunk then write_out t s
+let add_sub t s ~pos ~len =
+  if Buffer.length t.staging = 0 && len >= t.chunk then write_out t s ~pos ~len
   else begin
-    Buffer.add_string t.staging s;
+    Buffer.add_substring t.staging s pos len;
     if Buffer.length t.staging >= t.chunk then spill t
   end
+
+let add_string t s = add_sub t s ~pos:0 ~len:(String.length s)
 
 let add_char t c =
   Buffer.add_char t.staging c;

@@ -16,12 +16,24 @@ val chaos_skip_flush : bool ref
 val chaos_skip_drain : bool ref
 (** Companion switch: drop the closing fence of {!finish}. *)
 
+val chaos_damage_write : bool ref
+(** Planted-bug kill switch for integrity tests: every device write stores
+    its bytes with the first one inverted, so the region differs from the
+    image the table's checksums were computed from. Default [false]; never
+    set outside tests. *)
+
 val create : ?chunk:int -> Pmem.t -> Pmem.region -> t
 
 val position : t -> int
 (** Bytes appended so far (device + staging). *)
 
 val add_string : t -> string -> unit
+
+val add_sub : t -> string -> pos:int -> len:int -> unit
+(** [add_sub t s ~pos ~len] appends [s.[pos .. pos+len-1]] with exactly the
+    device calls of [add_string t (String.sub s pos len)], without the
+    copy. *)
+
 val add_char : t -> char -> unit
 val add_varint : t -> int -> unit
 val add_u32 : t -> int -> unit

@@ -49,8 +49,12 @@
    generation, so an item whose stored generation is current holds the
    very bytes that passed, and a recomputed CRC could only pass again;
    the read path skips it. The PM read itself (its charge, its sanitizer
-   hook, its bytes) is unchanged — the memo saves host CPU only. [verify]
-   clears the memo first, so scrub recomputes every CRC from the medium. *)
+   hook, its bytes) is unchanged — the memo saves host CPU only. [build]
+   seeds it: the CRCs are computed from one DRAM image of the whole region,
+   and if the sealed region holds exactly that image (one host-side
+   comparison), every record and group would pass at the sealed generation.
+   [verify] clears the memo first, so scrub recomputes every CRC from the
+   medium. *)
 
 type meta = { tag : string; g_lo : int; g_hi : int }
 
@@ -78,7 +82,8 @@ type t = {
 }
 
 (* slot | u32 offset | u16 count | u8 shared | u16 meta_idx | u32 crc *)
-let record_width t = t.prefix_len + 13
+let record_width_of prefix_len = prefix_len + 13
+let record_width t = record_width_of t.prefix_len
 
 (* Kill switch for every CRC comparison in this module — exists so a fault
    sweep can plant the "forgot to verify checksums" bug and prove it gets
@@ -191,77 +196,28 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
   done;
   let metas = Array.of_list (List.rev !metas) in
   let groups = Array.of_list (List.rev !groups) in
-  (* 2. Encode the three layers into DRAM staging, charging encode CPU. The
-     entry layer is sized first and encoded straight into one image. *)
+  (* 2. Encode the whole region — entry, prefix, group-CRC and meta layers
+     and the footer — into one exact-size DRAM image, charging encode CPU.
+     The entry layer is sized first; the meta layer (variable-length) is
+     encoded on its own first, so every layer's offset is known. *)
   let strip_len { gp_meta; gp_shared; _ } = String.length metas.(gp_meta).tag + gp_shared in
-  let group_offsets = Array.make (Array.length groups) 0 in
+  let group_count = Array.length groups in
+  let group_offsets = Array.make group_count 0 in
   let entry_len = ref 0 in
+  let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
   Array.iteri
     (fun g ({ gp_lo; gp_hi; _ } as plan) ->
       group_offsets.(g) <- !entry_len;
       let strip = strip_len plan in
       for i = gp_lo to gp_hi - 1 do
-        entry_len := !entry_len + Util.Kv.stripped_size ~strip entries.(i)
-      done)
-    groups;
-  let entry_len = !entry_len in
-  let image = Bytes.create entry_len in
-  let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
-  Array.iteri
-    (fun g ({ gp_lo; gp_hi; _ } as plan) ->
-      let strip = strip_len plan in
-      let off = ref group_offsets.(g) in
-      for i = gp_lo to gp_hi - 1 do
         let e = entries.(i) in
-        off := Util.Kv.encode_at ~strip image !off e;
+        entry_len := !entry_len + Util.Kv.stripped_size ~strip e;
         payload := !payload + Util.Kv.encoded_size e;
         if e.seq < !min_seq then min_seq := e.seq;
         if e.seq > !max_seq then max_seq := e.seq
       done)
     groups;
-  (* The image is complete and never written again: hand it over as a
-     string without a copy. *)
-  let entry_str = Bytes.unsafe_to_string image in
-  charge_cpu dev (float_of_int n *. encode_cpu_ns);
-  (* Per-group CRCs over the entry-layer extents, cached in the handle and
-     persisted in their own layer between the prefix and meta layers. *)
-  let gcrcs =
-    Array.init (Array.length groups) (fun g ->
-        let start = group_offsets.(g) in
-        let next = if g + 1 < Array.length groups then group_offsets.(g + 1) else entry_len in
-        Util.Crc32.update 0 entry_str start (next - start))
-  in
-  let prefix_layer = Buffer.create 1024 in
-  let rec_buf = Buffer.create 64 in
-  Array.iteri
-    (fun g { gp_slot; gp_shared; gp_lo; gp_hi; gp_meta } ->
-      Buffer.clear rec_buf;
-      Buffer.add_string rec_buf gp_slot;
-      let add_u32 v =
-        Buffer.add_char rec_buf (Char.chr ((v lsr 24) land 0xff));
-        Buffer.add_char rec_buf (Char.chr ((v lsr 16) land 0xff));
-        Buffer.add_char rec_buf (Char.chr ((v lsr 8) land 0xff));
-        Buffer.add_char rec_buf (Char.chr (v land 0xff))
-      and add_u16 v =
-        Buffer.add_char rec_buf (Char.chr ((v lsr 8) land 0xff));
-        Buffer.add_char rec_buf (Char.chr (v land 0xff))
-      in
-      add_u32 group_offsets.(g);
-      add_u16 (gp_hi - gp_lo);
-      Buffer.add_char rec_buf (Char.chr gp_shared);
-      add_u16 gp_meta;
-      (* inline record CRC: every prefix-layer probe self-verifies *)
-      add_u32 (Util.Crc32.string (Buffer.contents rec_buf));
-      Buffer.add_buffer prefix_layer rec_buf)
-    groups;
-  let gcrc_layer = Buffer.create (4 * Array.length groups) in
-  Array.iter
-    (fun crc ->
-      Buffer.add_char gcrc_layer (Char.chr ((crc lsr 24) land 0xff));
-      Buffer.add_char gcrc_layer (Char.chr ((crc lsr 16) land 0xff));
-      Buffer.add_char gcrc_layer (Char.chr ((crc lsr 8) land 0xff));
-      Buffer.add_char gcrc_layer (Char.chr (crc land 0xff)))
-    gcrcs;
+  let entry_len = !entry_len in
   (* Meta layer: the tag records, then the table-level statistics the
      handle caches (counts, seq range, payload), so a table can be reopened
      from its region alone after a restart. *)
@@ -292,37 +248,80 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
   (match bloom with
   | Some b -> Util.Varint.write_string meta_layer (Bloom.serialize b)
   | None -> ());
-  (* 3. Allocate and write through the buffered builder; a fixed-width
-     footer closes the region (see open_existing). *)
-  let meta_off = entry_len + Buffer.length prefix_layer + Buffer.length gcrc_layer in
   let meta_str = Buffer.contents meta_layer in
   let meta_crc = Util.Crc32.string meta_str in
-  let footer = Buffer.create footer_bytes in
-  let add_u32 v =
-    Buffer.add_char footer (Char.chr ((v lsr 24) land 0xff));
-    Buffer.add_char footer (Char.chr ((v lsr 16) land 0xff));
-    Buffer.add_char footer (Char.chr ((v lsr 8) land 0xff));
-    Buffer.add_char footer (Char.chr (v land 0xff))
+  let w = record_width_of prefix_len in
+  let prefix_off = entry_len in
+  let gcrc_off = prefix_off + (group_count * w) in
+  let meta_off = gcrc_off + (4 * group_count) in
+  let footer_off = meta_off + String.length meta_str in
+  let total = footer_off + footer_bytes in
+  let image = Bytes.create total in
+  let set_u32 off v =
+    Bytes.set_uint16_be image off ((v lsr 16) land 0xffff);
+    Bytes.set_uint16_be image (off + 2) (v land 0xffff)
   in
-  add_u32 entry_len;
-  add_u32 meta_off;
-  add_u32 (Array.length groups);
-  Buffer.add_char footer (Char.chr prefix_len);
-  Buffer.add_char footer (Char.chr group_size);
-  add_u32 meta_crc;
-  add_u32 (match bloom with Some _ -> magic_v2 | None -> magic);
-  add_u32 (Util.Crc32.string (Buffer.contents footer));
-  assert (Buffer.length footer = footer_bytes);
-  let total = meta_off + String.length meta_str + footer_bytes in
+  Array.iteri
+    (fun g ({ gp_lo; gp_hi; _ } as plan) ->
+      let strip = strip_len plan in
+      let off = ref group_offsets.(g) in
+      for i = gp_lo to gp_hi - 1 do
+        off := Util.Kv.encode_at ~strip image !off entries.(i)
+      done)
+    groups;
+  charge_cpu dev (float_of_int n *. encode_cpu_ns);
+  (* Per-group CRCs over the entry-layer extents, cached in the handle and
+     persisted in their own layer between the prefix and meta layers. *)
+  let gcrcs =
+    Array.init group_count (fun g ->
+        let start = group_offsets.(g) in
+        let next = if g + 1 < group_count then group_offsets.(g + 1) else entry_len in
+        Util.Crc32.update_bytes 0 image start (next - start))
+  in
+  Array.iteri
+    (fun g { gp_slot; gp_shared; gp_lo; gp_hi; gp_meta } ->
+      let r = prefix_off + (g * w) in
+      Bytes.blit_string gp_slot 0 image r prefix_len;
+      set_u32 (r + prefix_len) group_offsets.(g);
+      Bytes.set_uint16_be image (r + prefix_len + 4) (gp_hi - gp_lo);
+      Bytes.set_uint8 image (r + prefix_len + 6) gp_shared;
+      Bytes.set_uint16_be image (r + prefix_len + 7) gp_meta;
+      (* inline record CRC: every prefix-layer probe self-verifies *)
+      set_u32 (r + w - 4) (Util.Crc32.update_bytes 0 image r (w - 4)))
+    groups;
+  Array.iteri (fun g crc -> set_u32 (gcrc_off + (4 * g)) crc) gcrcs;
+  Bytes.blit_string meta_str 0 image meta_off (String.length meta_str);
+  (* The fixed-width footer closes the region (see open_existing). *)
+  set_u32 footer_off entry_len;
+  set_u32 (footer_off + 4) meta_off;
+  set_u32 (footer_off + 8) group_count;
+  Bytes.set_uint8 image (footer_off + 12) prefix_len;
+  Bytes.set_uint8 image (footer_off + 13) group_size;
+  set_u32 (footer_off + 14) meta_crc;
+  set_u32 (footer_off + 18) (match bloom with Some _ -> magic_v2 | None -> magic);
+  set_u32 (footer_off + 22) (Util.Crc32.update_bytes 0 image footer_off (footer_bytes - 4));
+  (* The image is complete and never written again: hand it over as a
+     string without a copy. *)
+  let image = Bytes.unsafe_to_string image in
+  (* 3. Allocate and write the layers through the buffered builder, one
+     slice of the image each. *)
   let region = Pmem.alloc dev total in
   let builder = Builder.create dev region in
-  Builder.add_string builder entry_str;
-  Builder.add_string builder (Buffer.contents prefix_layer);
-  Builder.add_string builder (Buffer.contents gcrc_layer);
-  Builder.add_string builder meta_str;
-  Builder.add_string builder (Buffer.contents footer);
+  let layer off len = Builder.add_sub builder image ~pos:off ~len in
+  layer 0 entry_len;
+  layer prefix_off (gcrc_off - prefix_off);
+  layer gcrc_off (meta_off - gcrc_off);
+  layer meta_off (footer_off - meta_off);
+  layer footer_off footer_bytes;
   let written = Builder.finish builder in
   assert (written = total);
+  (* Seed the verification memo: every CRC above was computed from
+     [image], so if the sealed region holds exactly those bytes, each
+     record and group check would pass at the current generation. One
+     host-side comparison, no device access. *)
+  let seeded =
+    if !verify_checksums && Pmem.holds_image region image then Pmem.generation region else -1
+  in
   {
     bloom;
     dev;
@@ -330,14 +329,14 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     count = n;
     group_size;
     prefix_len;
-    group_count = Array.length groups;
+    group_count;
     entry_len;
-    prefix_off = entry_len;
+    prefix_off;
     meta_off;
     metas;
     gcrcs;
-    record_gens = Array.make (Array.length groups) (-1);
-    group_gens = Array.make (Array.length groups) (-1);
+    record_gens = Array.make group_count seeded;
+    group_gens = Array.make group_count seeded;
     meta_crc;
     min_key = entries.(pos).key;
     max_key = entries.(stop - 1).key;

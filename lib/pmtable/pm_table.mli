@@ -84,7 +84,9 @@ val region_id : t -> int
     comparison on the read path raises [Integrity.Corrupted]. The handle
     memoizes, per record and per group, the {!Pmem.generation} of the last
     passing check and skips re-checking bytes that have not changed since:
-    every read that would raise still raises. *)
+    every read that would raise still raises. {!build} seeds the memo at
+    the sealed generation when a host-side comparison finds the region
+    byte-for-byte equal to the image its CRCs were computed from. *)
 
 val verify : t -> (string * int) list
 (** Full checksum walk, re-reading footer and meta from the medium and

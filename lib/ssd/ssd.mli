@@ -108,6 +108,12 @@ val pread : t -> file -> off:int -> len:int -> string
 (** Random read; charges one request plus transfer. Raises {!Io_error}
     when the read hook fails the request. *)
 
+val holds : file -> off:int -> string -> bool
+(** [holds f ~off s]: the file's bytes at [off] are exactly [s]. Host-only,
+    a word at a time: it charges no simulated time, consults no hook and
+    leaves the generation alone, so a builder can confirm that what it
+    stored is what it checksummed. *)
+
 val corrupt_file :
   ?len:int -> ?mode:[ `Flip | `Zero ] -> t -> file -> off:int -> unit
 (** Fault injection: damage [len] bytes (default 1) at [off] — [`Flip]

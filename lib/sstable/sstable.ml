@@ -16,7 +16,8 @@
    Every change to the file's bytes bumps the generation, so a block whose
    stored generation is current holds the very bytes that passed and its
    fetch skips the recompute; the device read and its charge are
-   unchanged. [verify] reads around the memo. *)
+   unchanged. [build] seeds the memo by comparing each sealed block with
+   the image its CRC was computed from. [verify] reads around the memo. *)
 
 let default_block_bytes = 4096
 let bits_per_key = 10
@@ -31,6 +32,12 @@ exception Corrupted_block of { file_id : int; block : int }
    sweep can plant the "forgot to verify checksums" bug and prove it gets
    caught. Leave it [true]. *)
 let verify_checksums = ref true
+
+(* Planted-bug kill switch for the integrity tests: append every data block
+   with its first byte inverted, so the file no longer holds the blocks
+   their checksums were computed from. A build must then leave its
+   verification memo empty. Never set in production code. *)
+let chaos_damage_append = ref false
 
 type t = {
   ssd : Ssd.t;
@@ -98,7 +105,11 @@ let encode_meta ~blocks ~bloom ~count ~min_key ~max_key ~min_seq ~max_seq ~paylo
 (* Entries are appended to data blocks in order; a block closes as soon as
    it holds [block_bytes] or more. Each block's size is known before it is
    encoded, so it is encoded straight into one image of exactly that size,
-   then appended and checksummed. *)
+   then appended and checksummed. Once the file is sealed, each block's
+   stored bytes are compared with its image (host-side, no device read):
+   equal bytes at the sealed generation pass their CRC, so the build seeds
+   the verification memo and the first read of a block skips the
+   recompute. *)
 let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
     (entries : Util.Kv.entry array) =
   (* Within a key, versions must arrive newest first: a point lookup serves
@@ -106,7 +117,7 @@ let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
   let pos, n = Util.Kv.sorted_slice "Sstable.build" ?pos ?len entries in
   let stop = pos + n in
   let file = Ssd.create_file ssd in
-  let blocks = ref [] and off = ref 0 in
+  let blocks = ref [] and images = ref [] and off = ref 0 in
   let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
   let first = ref pos in
   while !first < stop do
@@ -126,7 +137,13 @@ let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
     payload := !payload + !size;
     (* complete and never written again: no copy *)
     let data = Bytes.unsafe_to_string image in
-    Ssd.append ssd file data;
+    let stored =
+      if !chaos_damage_append then
+        String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0xff) else c) data
+      else data
+    in
+    Ssd.append ssd file stored;
+    images := data :: !images;
     blocks :=
       { last_key = entries.(!last - 1).key; off = !off; len = !size;
         entries = !last - !first; crc = Util.Crc32.string data }
@@ -144,6 +161,15 @@ let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
     (encode_meta ~blocks ~bloom ~count:n ~min_key ~max_key ~min_seq:!min_seq
        ~max_seq:!max_seq ~payload:!payload ~meta_off:!off);
   Ssd.seal ssd file;
+  let block_gens = Array.make (Array.length blocks) (-1) in
+  if !verify_checksums then begin
+    let gen = Ssd.generation file in
+    List.iteri
+      (fun k data ->
+        let i = Array.length blocks - 1 - k in
+        if Ssd.holds file ~off:blocks.(i).off data then block_gens.(i) <- gen)
+      !images
+  end;
   {
     ssd;
     file;
@@ -155,7 +181,7 @@ let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
     min_seq = !min_seq;
     max_seq = !max_seq;
     payload_bytes = !payload;
-    block_gens = Array.make (Array.length blocks) (-1);
+    block_gens;
     pinned = None;
     shared = None;
     dram_access_ns = dram_access_ns_default;

@@ -91,3 +91,9 @@ val verify_checksums : bool ref
 (** Kill switch for every CRC comparison in this module — exists so a fault
     sweep can plant the "forgot to verify checksums" bug and prove it gets
     caught. Leave it [true]. *)
+
+val chaos_damage_append : bool ref
+(** Planted-bug kill switch for integrity tests: {!build} appends every
+    data block with its first byte inverted, so the file differs from the
+    blocks its checksums were computed from. Default [false]; never set
+    outside tests. *)

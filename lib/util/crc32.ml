@@ -56,3 +56,7 @@ let update crc s pos len =
   !crc lxor 0xFFFFFFFF
 
 let string s = update 0 s 0 (String.length s)
+
+(* [update] reads its argument only while it runs, so viewing a buffer that
+   is still being filled as a string for the call is sound. *)
+let update_bytes crc b pos len = update crc (Bytes.unsafe_to_string b) pos len

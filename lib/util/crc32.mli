@@ -7,3 +7,7 @@ val update : int -> string -> int -> int -> int
 
 val string : string -> int
 (** Checksum of a whole string. *)
+
+val update_bytes : int -> Bytes.t -> int -> int -> int
+(** [update] over a byte buffer, without copying it: for builders that
+    checksum one part of an image while they still fill another. *)

@@ -192,6 +192,94 @@ let test_scrub_after_memo_hits () =
   Ssd.corrupt_file ssd file ~off:100;
   check Alcotest.(list int) "sstable scrub finds the rot" [ 0 ] (Sstable.verify sst)
 
+(* --- Memo seeded at build ---------------------------------------------------- *)
+
+(* A build compares the sealed bytes with the image its CRCs came from and
+   seeds the memo at the sealed generation. Rot, crash reverts and scrub
+   must still re-check on the very first read. *)
+
+let test_seed_pm_group_rot_before_read () =
+  let pm, region, t, entries = memo_pm_table () in
+  let entry_len, _, _ = pm_layout region in
+  let group1 = u32_at (Pmem.unsafe_peek region ~off:(entry_len + pm_record_width) ~len:pm_record_width) 24 in
+  Pmem.corrupt_region pm region ~off:(group1 - 1);
+  check Alcotest.bool "group rot raises on the first read" true
+    (raises_corrupted ~layer:"entry" (fun () -> Pmtable.Pm_table.get t entries.(3).Util.Kv.key))
+
+let test_seed_pm_record_rot_before_read () =
+  let pm, region, t, entries = memo_pm_table () in
+  let entry_len, _, _ = pm_layout region in
+  Pmem.corrupt_region pm region ~off:(entry_len + 2);
+  check Alcotest.bool "record rot raises on the first read" true
+    (raises_corrupted ~layer:"prefix" (fun () -> Pmtable.Pm_table.get t entries.(3).Util.Kv.key))
+
+let test_seed_sstable_rot_before_read () =
+  let ssd, file, t, entries = memo_sstable () in
+  Ssd.corrupt_file ssd file ~off:100;
+  check Alcotest.bool "block rot raises on the first read" true
+    (raises_corrupted_block (fun () -> Sstable.get t (List.nth entries 5).Util.Kv.key))
+
+(* Every clwb of the build is lost, so the durable image never received the
+   table; the cache-domain bytes equal the image and seed the memo. The
+   crash reverts them to the never-written durable image, and the first
+   read after it must check again. (The values come from a seed no other
+   test uses, so no stale copy of this image can sit in the reverted
+   bytes.) *)
+let test_seed_pm_crash_revert_rechecks () =
+  let pm = Pmem.create (Sim.Clock.create ()) in
+  Pmem.enable_crash_mode pm;
+  Pmem.set_flush_hook pm (Some (fun ~region_id:_ ~off:_ ~len:_ -> Pmem.Flush_dropped));
+  let rng = Util.Xoshiro.create 9_731 in
+  let entries =
+    Array.init 200 (fun i ->
+        Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (Util.Xoshiro.string rng 24))
+  in
+  Array.sort Util.Kv.compare_entry entries;
+  let t = Pmtable.Pm_table.build pm entries in
+  Pmem.set_flush_hook pm None;
+  let region = Option.get (Pmem.find_region pm (Pmtable.Pm_table.region_id t)) in
+  check Alcotest.int "nothing of the build is durable" 0 (Pmem.durable_upto region);
+  Pmem.crash pm;
+  check Alcotest.bool "reverted region raises on the first read" true
+    (match Pmtable.Pm_table.get t entries.(3).Util.Kv.key with
+    | _ -> false
+    | exception Pmtable.Integrity.Corrupted _ -> true)
+
+let test_seed_scrub_rechecks () =
+  let pm, region, t, _ = memo_pm_table () in
+  check Alcotest.(list (pair string int)) "clean seeded table scrubs clean" []
+    (Pmtable.Pm_table.verify t);
+  let entry_len, _, _ = pm_layout region in
+  Pmem.corrupt_region pm region ~off:0;
+  Pmem.corrupt_region pm region ~off:(entry_len + pm_record_width + 2);
+  check Alcotest.(list (pair string int)) "pm scrub finds both rots"
+    [ ("entry", 0); ("prefix", 1) ] (Pmtable.Pm_table.verify t);
+  let ssd, file, sst, _ = memo_sstable () in
+  check Alcotest.(list int) "clean seeded sstable scrubs clean" [] (Sstable.verify sst);
+  Ssd.corrupt_file ssd file ~off:100;
+  check Alcotest.(list int) "sstable scrub finds the rot" [ 0 ] (Sstable.verify sst)
+
+(* Planted bug: the builder stores bytes other than the image. The
+   comparison must leave the memo empty, so the first read checks and
+   raises instead of decoding junk as if it had passed. *)
+let test_seed_needs_equal_bytes () =
+  Pmtable.Builder.chaos_damage_write := true;
+  let _, _, t, entries =
+    Fun.protect
+      ~finally:(fun () -> Pmtable.Builder.chaos_damage_write := false)
+      (fun () -> memo_pm_table ())
+  in
+  check Alcotest.bool "damaged pm build raises on the first read" true
+    (match Pmtable.Pm_table.get t entries.(3).Util.Kv.key with
+    | _ -> false
+    | exception Pmtable.Integrity.Corrupted _ -> true);
+  Sstable.chaos_damage_append := true;
+  let _, _, sst, entries =
+    Fun.protect ~finally:(fun () -> Sstable.chaos_damage_append := false) memo_sstable
+  in
+  check Alcotest.bool "damaged sstable build raises on the first read" true
+    (raises_corrupted_block (fun () -> Sstable.get sst (List.nth entries 5).Util.Kv.key))
+
 (* Differential: after a random history through one long-lived handle and
    one random corruption of the layers the memo covers, every lookup
    answers or raises exactly as a freshly opened handle (empty memo) over
@@ -495,6 +583,16 @@ let () =
           Alcotest.test_case "warm_cache checks blocks" `Quick
             test_warm_cache_checks_blocks;
           Alcotest.test_case "scrub after memo hits" `Quick test_scrub_after_memo_hits;
+          Alcotest.test_case "seeded: pm group rot before read" `Quick
+            test_seed_pm_group_rot_before_read;
+          Alcotest.test_case "seeded: pm record rot before read" `Quick
+            test_seed_pm_record_rot_before_read;
+          Alcotest.test_case "seeded: sstable rot before read" `Quick
+            test_seed_sstable_rot_before_read;
+          Alcotest.test_case "seeded: crash revert rechecks" `Quick
+            test_seed_pm_crash_revert_rechecks;
+          Alcotest.test_case "seeded: scrub rechecks" `Quick test_seed_scrub_rechecks;
+          Alcotest.test_case "seeded only on equal bytes" `Quick test_seed_needs_equal_bytes;
           QCheck_alcotest.to_alcotest prop_memo_pm_matches_fresh;
           QCheck_alcotest.to_alcotest prop_memo_sstable_matches_fresh;
         ] );

@@ -53,6 +53,189 @@ let test_shuffle_permutes () =
   Array.sort compare sorted;
   check (Alcotest.array Alcotest.int) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* The generator as it stood before its state moved into one unboxed
+   buffer, kept verbatim: every bench, test and seed depends on its
+   streams, so the current module must reproduce them call for call. *)
+module Reference = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create seed =
+    let state = ref (Int64.of_int seed) in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let next_int64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  (* Non-negative 62-bit int. *)
+  let next_int t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Xoshiro.int: bound must be positive";
+    next_int t mod bound
+
+  let float t bound =
+    let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+    (* 53 random bits mapped to [0, 1). *)
+    x /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+  let string t len =
+    String.init len (fun _ -> Char.chr (97 + int t 26))
+
+  let shuffle t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+end
+
+(* Outputs of the reference generator for a few seeds: (seed, next_int64,
+   next_int64, next_int, int 1e6, string 12, bool, float 1.0, shuffle of
+   0..7), drawn in that order. *)
+let xoshiro_golden =
+  [
+    (0, -7355399402456485196L, -4652746763540216534L, 475095844711627192, 535883,
+     "woengpjphjle", false, 0x1.826dfb603398p-3, [| 0; 5; 2; 6; 7; 4; 1; 3 |]);
+    (1, -5480124913605472059L, -8846382939111011094L, 2647595229880422725, 386345,
+     "coffuwyfkzhj", true, 0x1.f7270f1b34c4ep-2, [| 1; 6; 3; 7; 4; 2; 5; 0 |]);
+    (42, 1546998764402558742L, 6990951692964543102L, 3136146690562139752, 531048,
+     "hiujpjmtjuda", true, 0x1.b3e966a9d8708p-1, [| 6; 7; 2; 4; 3; 0; 1; 5 |]);
+    (2024, 1029197146548041518L, -4019475936553856923L, 332294759646991360, 434202,
+     "dtwrtnkurnrn", true, 0x1.4e324425294dcp-1, [| 7; 6; 1; 5; 3; 4; 0; 2 |]);
+    (-7, -935278008730389822L, -2984799092062921764L, 2079432460272961966, 52584,
+     "xzftksxxltsh", false, 0x1.b35b2f6f68072p-2, [| 0; 4; 2; 7; 1; 5; 6; 3 |]);
+  ]
+
+let test_xoshiro_golden () =
+  List.iter
+    (fun (seed, a, b, c, d, e, f, g, perm) ->
+      let r = Util.Xoshiro.create seed in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      check Alcotest.int64 (name "next_int64") a (Util.Xoshiro.next_int64 r);
+      check Alcotest.int64 (name "next_int64 #2") b (Util.Xoshiro.next_int64 r);
+      check Alcotest.int (name "next_int") c (Util.Xoshiro.next_int r);
+      check Alcotest.int (name "int") d (Util.Xoshiro.int r 1_000_000);
+      check Alcotest.string (name "string") e (Util.Xoshiro.string r 12);
+      check Alcotest.bool (name "bool") f (Util.Xoshiro.bool r);
+      check Alcotest.(float 0.0) (name "float") g (Util.Xoshiro.float r 1.0);
+      let arr = Array.init 8 Fun.id in
+      Util.Xoshiro.shuffle r arr;
+      check Alcotest.(array int) (name "shuffle") perm arr)
+    xoshiro_golden
+
+type xoshiro_call =
+  | Next_int64
+  | Next_int
+  | Int of int
+  | Float of float
+  | Bool
+  | String of int
+  | Shuffle of int
+
+let pp_xoshiro_call = function
+  | Next_int64 -> "next_int64"
+  | Next_int -> "next_int"
+  | Int b -> Printf.sprintf "int %d" b
+  | Float b -> Printf.sprintf "float %h" b
+  | Bool -> "bool"
+  | String n -> Printf.sprintf "string %d" n
+  | Shuffle n -> Printf.sprintf "shuffle %d" n
+
+let xoshiro_calls_arb =
+  let open QCheck.Gen in
+  let call =
+    frequency
+      [
+        (2, return Next_int64);
+        (2, return Next_int);
+        (3, map (fun b -> Int b) (int_range 1 (1 lsl 30)));
+        (1, map (fun b -> Int b) (int_range 1 64));
+        (2, map (fun b -> Float b) (float_range 0.0 1e6));
+        (2, return Bool);
+        (2, map (fun n -> String n) (int_range 0 2048));
+        (1, map (fun n -> Shuffle n) (int_range 0 40));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (seed, calls) ->
+      Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map pp_xoshiro_call calls)))
+    (pair int (list_size (int_range 0 60) call))
+
+let prop_xoshiro_matches_reference =
+  QCheck.Test.make ~name:"every call = the reference generator" ~count:300 xoshiro_calls_arb
+    (fun (seed, calls) ->
+      let r = Util.Xoshiro.create seed and ref_ = Reference.create seed in
+      List.for_all
+        (function
+          | Next_int64 -> Util.Xoshiro.next_int64 r = Reference.next_int64 ref_
+          | Next_int -> Util.Xoshiro.next_int r = Reference.next_int ref_
+          | Int b -> Util.Xoshiro.int r b = Reference.int ref_ b
+          | Float b ->
+              Int64.bits_of_float (Util.Xoshiro.float r b)
+              = Int64.bits_of_float (Reference.float ref_ b)
+          | Bool -> Util.Xoshiro.bool r = Reference.bool ref_
+          | String n -> String.equal (Util.Xoshiro.string r n) (Reference.string ref_ n)
+          | Shuffle n ->
+              let a = Array.init n Fun.id and b = Array.init n Fun.id in
+              Util.Xoshiro.shuffle r a;
+              Reference.shuffle ref_ b;
+              a = b)
+        calls)
+
+(* Minor words allocated by [f ()], net of the measurement itself. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  w1 -. w0 -. (w2 -. w1)
+
+let test_xoshiro_allocation () =
+  let r = Util.Xoshiro.create 11 in
+  let sink = ref 0 in
+  let words_of name f =
+    let w = minor_words (fun () -> for _ = 1 to 1000 do f () done) in
+    check (Alcotest.float 0.0) (name ^ ": words for 1000 calls") 0.0 w
+  in
+  words_of "int" (fun () -> sink := !sink + Util.Xoshiro.int r 1000);
+  words_of "next_int" (fun () -> sink := !sink + Util.Xoshiro.next_int r);
+  words_of "bool" (fun () -> if Util.Xoshiro.bool r then incr sink);
+  let s = ref "" in
+  let w = minor_words (fun () -> s := Util.Xoshiro.string r 1024) in
+  (* the result: a header plus 1024 bytes and their padding, in words *)
+  let result = float_of_int (1 + (1024 / (Sys.word_size / 8)) + 1) in
+  check Alcotest.bool
+    (Printf.sprintf "string 1024: %.0f words, result alone %.0f" w result)
+    true
+    (w <= result +. 8.0);
+  check Alcotest.int "string length" 1024 (String.length !s)
+
 (* --- Zipf ------------------------------------------------------------- *)
 
 let test_zipf_zeta () =
@@ -566,6 +749,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_xoshiro_bounds;
           Alcotest.test_case "uniformity" `Quick test_xoshiro_uniformity;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
+          Alcotest.test_case "golden streams" `Quick test_xoshiro_golden;
+          qtest prop_xoshiro_matches_reference;
+          Alcotest.test_case "steps allocate nothing" `Quick test_xoshiro_allocation;
         ] );
       ( "zipf",
         [
