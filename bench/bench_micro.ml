@@ -3,12 +3,14 @@
    table lookup (64 B values, and 1 KB values whose ~8 KB groups are probed
    repeatedly, the case the verification memo serves) and full decode, the
    plain array-table lookup, the SSTable point lookup, the LZ codec, the
-   Bloom filter and the CRC32 kernel every stored block is checked with, and
-   the compaction data plane: an 8-way merge and the PM-table and SSTable
-   builds of a 4096-entry run; the load generator's 1 KB value; and the
+   Bloom filter (by key, and by the hash an entry carries) and the CRC32
+   kernel every stored block is checked with, and the compaction data
+   plane: an 8-way merge and the PM-table and SSTable builds of a
+   4096-entry run; the load generator's 1 KB value; and the
    first read of a freshly built table, which the memo seeded at build
-   serves without a checksum pass. These measure real host nanoseconds and
-   minor words per call, not simulated time. *)
+   serves without a checksum pass. These measure real host nanoseconds,
+   minor words and words allocated directly in the major heap per call,
+   not simulated time. *)
 
 (* Bechamel's toolkit has a [Compaction] module of its own. *)
 module Merge = Compaction.Merge
@@ -63,14 +65,24 @@ let make_merge_runs () =
       Array.sort Util.Kv.compare_entry run;
       run)
 
+(* Allocation counters: minor words from [Gc.minor_words] (Bechamel's
+   allocation instance reads [Gc.quick_stat], and the minor count of
+   [Gc.counters], which OCaml 5 only refreshes at minor collections), and
+   direct major-heap words — blocks too large for the minor heap,
+   allocated straight in the major heap: major words less the words
+   promoted from the minor heap. *)
+let alloc_counters () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
+
 (* The first lookup of a table right after its build: [tables] one-group
    tables of eight 1 KB values are built, then each is probed once, timing
-   only the probes. Mean host ns and minor words per first read, over
-   [rounds] rounds. *)
+   only the probes. Mean host ns, minor words and direct major-heap words
+   per first read, over [rounds] rounds. *)
 let first_read_after_build ?(tables = 128) ?(rounds = 20) () =
   let pm = Pmem.create ~params:{ Pmem.default_params with capacity = 64 * 1024 * 1024 } (Sim.Clock.create ()) in
   let rng = Util.Xoshiro.create 41 in
-  let ns = ref 0.0 and words = ref 0.0 in
+  let ns = ref 0.0 and words = ref 0.0 and major = ref 0.0 in
   for _ = 1 to rounds do
     let built =
       Array.init tables (fun t ->
@@ -81,14 +93,16 @@ let first_read_after_build ?(tables = 128) ?(rounds = 20) () =
           in
           (Pmtable.Pm_table.build pm entries, entries.(3).Util.Kv.key))
     in
-    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    let minor0, major0 = alloc_counters () and t0 = Unix.gettimeofday () in
     Array.iter (fun (tbl, k) -> ignore (Sys.opaque_identity (Pmtable.Pm_table.get tbl k))) built;
     ns := !ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
-    words := !words +. (Gc.minor_words () -. w0);
+    let minor1, major1 = alloc_counters () in
+    words := !words +. (minor1 -. minor0);
+    major := !major +. (major1 -. major0);
     Array.iter (fun (tbl, _) -> Pmtable.Pm_table.free tbl) built
   done;
   let calls = float_of_int (tables * rounds) in
-  (!ns /. calls, !words /. calls)
+  (!ns /. calls, !words /. calls, !major /. calls)
 
 let tests () =
   let entries, pm_tbl, arr_tbl = make_pm_fixture () in
@@ -116,6 +130,8 @@ let tests () =
     ("lz.decompress-1KB", fun () -> ignore (Compress.Lz.decompress compressed));
     ("bloom.mem", fun () -> ignore (Bloom.mem bloom (key ())));
     ("bloom.add", fun () -> Bloom.add fresh_bloom (key ()));
+    ( "bloom.add_hash",
+      fun () -> Bloom.add_hash fresh_bloom entries.(Util.Xoshiro.int rng 4096).Util.Kv.key_hash );
     ("crc32-64B", fun () -> ignore (Util.Crc32.string block_64));
     ("crc32-4KB", fun () -> ignore (Util.Crc32.string block_4k));
     ("pm_table.to_array-4096", fun () -> ignore (Pmtable.Pm_table.to_array pm_tbl));
@@ -125,15 +141,15 @@ let tests () =
     ("xoshiro.string-1KB", fun () -> ignore (Util.Xoshiro.string rng 1024));
   ]
 
-(* Minor words per call of [f], from [Gc.minor_words] (Bechamel's
-   allocation instance reads [Gc.quick_stat], which OCaml 5 only refreshes
-   at minor collections). *)
+(* Minor and direct major-heap words per call of [f]. *)
 let words_per_call ?(calls = 200) f =
-  let w0 = Gc.minor_words () in
+  let minor0, major0 = alloc_counters () in
   for _ = 1 to calls do
     f ()
   done;
-  (Gc.minor_words () -. w0) /. float_of_int calls
+  let minor1, major1 = alloc_counters () in
+  let per x = x /. float_of_int calls in
+  (per (minor1 -. minor0), per (major1 -. major0))
 
 let run () =
   Report.heading "Micro: wall-clock cost of core primitives (Bechamel)";
@@ -155,15 +171,19 @@ let run () =
               | _ -> acc)
             analysis 0.0
         in
-        [ name; Printf.sprintf "%.0f ns/op" estimate; Printf.sprintf "%.0f" (words_per_call f) ])
+        let minor, major = words_per_call f in
+        [ name; Printf.sprintf "%.0f ns/op" estimate; Printf.sprintf "%.0f" minor; Printf.sprintf "%.0f" major ])
       (tests ())
   in
-  let first_ns, first_words = first_read_after_build () in
+  let first_ns, first_words, first_major = first_read_after_build () in
   let first =
     [
       "pm_table.get-1KB first read after build";
       Printf.sprintf "%.0f ns/op" first_ns;
       Printf.sprintf "%.0f" first_words;
+      Printf.sprintf "%.0f" first_major;
     ]
   in
-  Report.table ~header:[ "primitive"; "wall-clock cost"; "minor words/op" ] (rows @ [ first ])
+  Report.table
+    ~header:[ "primitive"; "wall-clock cost"; "minor words/op"; "major words/op" ]
+    (rows @ [ first ])

@@ -7,15 +7,9 @@
 
 type t = { bits : Bytes.t; nbits : int; k : int }
 
-(* FNV-1a for the first hash, then a murmur-style finalizer of it for the
+(* The key's 31-bit FNV-1a hash ([Util.Kv.key_hash], which every entry
+   carries) for the first hash, then a murmur-style finalizer of it for the
    second — so one pass over the key yields both. *)
-let hash1 s =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.get s i)) * 0x01000193 land 0x7fffffff
-  done;
-  !h
-
 let hash2_of h1 =
   let h = ref (h1 lxor 0x5bd1e995) in
   h := !h * 0xcc9e2d51 land 0x7fffffff;
@@ -26,7 +20,7 @@ let hash2_of h1 =
   !h lor 1
 
 let hashes key =
-  let h1 = hash1 key in
+  let h1 = Util.Kv.key_hash key in
   (h1, hash2_of h1)
 
 let optimal_k bits_per_key =
@@ -53,8 +47,7 @@ let step t pos delta =
   let next = pos + delta in
   if next >= t.nbits then next - t.nbits else next
 
-let add t key =
-  let h1 = hash1 key in
+let add_hash t h1 =
   let delta = hash2_of h1 mod t.nbits in
   let pos = ref (h1 mod t.nbits) in
   for _ = 1 to t.k do
@@ -62,11 +55,14 @@ let add t key =
     pos := step t !pos delta
   done
 
-let mem t key =
-  let h1 = hash1 key in
+let add t key = add_hash t (Util.Kv.key_hash key)
+
+let mem_hash t h1 =
   let delta = hash2_of h1 mod t.nbits in
   let rec probe i pos = i >= t.k || (get_bit t pos && probe (i + 1) (step t pos delta)) in
   probe 0 (h1 mod t.nbits)
+
+let mem t key = mem_hash t (Util.Kv.key_hash key)
 
 let size_bytes t = Bytes.length t.bits
 

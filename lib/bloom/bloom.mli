@@ -8,6 +8,14 @@ val create : bits_per_key:int -> int -> t
 
 val add : t -> string -> unit
 val mem : t -> string -> bool
+
+val add_hash : t -> int -> unit
+(** [add_hash t (Util.Kv.key_hash key)] is [add t key], for callers that
+    already hold the hash (every [Util.Kv.entry] carries its key's). *)
+
+val mem_hash : t -> int -> bool
+(** [mem_hash t (Util.Kv.key_hash key)] is [mem t key]. *)
+
 val size_bytes : t -> int
 val of_keys : bits_per_key:int -> string list -> t
 

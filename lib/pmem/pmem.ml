@@ -218,13 +218,30 @@ let charge_write t len =
   t.stats.bytes_written <- t.stats.bytes_written + len;
   t.stats.write_time <- t.stats.write_time +. dt
 
-let read t region ~off ~len =
+(* Everything a read does to the device and its observers — bounds check,
+   charge, statistics, trace event, sanitizer event — short of touching
+   the bytes. *)
+let account_read t region ~off ~len =
   check_bounds "Pmem.read" region off len;
   charge_read t len;
-  (match t.san with
+  match t.san with
   | Some san -> Sanitize.Pmsan.on_read san ~id:region.id ~off ~len
-  | None -> ());
+  | None -> ()
+
+let read t region ~off ~len =
+  account_read t region ~off ~len;
   Bytes.sub_string region.buf off len
+
+(* The region's own bytes, not a copy: [f] must be done with them when it
+   returns, since [write], [crash] and [corrupt_region] change them in
+   place. *)
+let with_view t region ~off ~len f =
+  account_read t region ~off ~len;
+  f (Bytes.unsafe_to_string region.buf) off
+
+let inspect region ~off ~len f =
+  check_bounds "Pmem.inspect" region off len;
+  f (Bytes.unsafe_to_string region.buf) off
 
 let read_byte t region ~off =
   check_bounds "Pmem.read_byte" region off 1;

@@ -72,6 +72,23 @@ val live_regions : t -> region list
 (** Live regions in allocation order. *)
 
 val read : t -> region -> off:int -> len:int -> string
+
+val with_view : t -> region -> off:int -> len:int -> (string -> int -> 'a) -> 'a
+(** [with_view t r ~off ~len f] is {!read} without the copy: the same
+    bounds check, simulated charge, statistics, io trace event, latency
+    attribution and sanitizer read event, then [f buf pos] where the
+    requested bytes are [buf.\[pos .. pos+len-1\]] ([pos = off]) of the
+    region's own storage. [f] may read only that range, and must neither
+    keep [buf] nor anything sharing it past its return: {!write},
+    {!crash} and {!corrupt_region} change those bytes in place. *)
+
+val inspect : region -> off:int -> len:int -> (string -> int -> 'a) -> 'a
+(** Host-only {!with_view}: the bounds check, but no charge, no statistics
+    and no trace or sanitizer event — like {!holds_image}, for checks the
+    modelled machine does not perform (re-verifying a checksum over bytes
+    that have already been paid for), never to serve data. The same rules
+    bind [f]. *)
+
 val read_byte : t -> region -> off:int -> char
 val write : t -> region -> off:int -> string -> unit
 

@@ -38,10 +38,14 @@
    access); the meta layer and the footer carry CRC32s verified at
    [open_existing] and re-checked from the medium by [verify] (scrub). A
    failed comparison raises [Integrity.Corrupted] so the engine can
-   quarantine the region instead of serving garbage. The only unverified
-   read is [read_first_key]'s tie-break peek — it never feeds served data
-   (the group read that follows is verified); rot there is caught by the
-   next scrub.
+   quarantine the region instead of serving garbage. The first-key peek
+   that breaks slot ties reads only the head of a group, but steers the
+   lookup: it checks the whole group's CRC in place, host-side, unless the
+   group already passed at this generation.
+
+   Reads are in place: every record, peek and group is checked, compared
+   and decoded straight from the region's bytes ([Pmem.with_view], same
+   charges as a copy), with cursors bounded by the read's extent.
 
    Verification memo: the handle remembers, per prefix record and per
    group, the region generation ({!Pmem.generation}) at which that item
@@ -54,7 +58,8 @@
    and if the sealed region holds exactly that image (one host-side
    comparison), every record and group would pass at the sealed generation.
    [verify] clears the memo first, so scrub recomputes every CRC from the
-   medium. *)
+   medium. At that same sealed generation, decoded entries take the key
+   hashes their build inputs carried instead of hashing their keys. *)
 
 type meta = { tag : string; g_lo : int; g_hi : int }
 
@@ -73,6 +78,13 @@ type t = {
   gcrcs : int array;   (* handle-side cache of the per-group entry CRCs *)
   record_gens : int array;  (* memo: generation of each record's last passing check *)
   group_gens : int array;   (* memo: generation of each group's last passing check *)
+  (* [hashes.(group_first.(g) + i)] is the key hash of entry [i] of group
+     [g] as built: valid while the region's generation is [hashes_gen],
+     the sealed generation the memo was seeded at (-1, never, for a
+     reopened or unseeded table) *)
+  hashes : int array;
+  group_first : int array;
+  hashes_gen : int;
   meta_crc : int;
   min_key : string;
   max_key : string;
@@ -240,7 +252,7 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     else begin
       let b = Bloom.create ~bits_per_key:bloom_bits_per_key n in
       for i = pos to stop - 1 do
-        Bloom.add b entries.(i).Util.Kv.key
+        Bloom.add_hash b entries.(i).Util.Kv.key_hash
       done;
       Some b
     end
@@ -337,6 +349,9 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     gcrcs;
     record_gens = Array.make group_count seeded;
     group_gens = Array.make group_count seeded;
+    hashes = Array.init n (fun i -> entries.(pos + i).Util.Kv.key_hash);
+    group_first = Array.map (fun { gp_lo; _ } -> gp_lo - pos) groups;
+    hashes_gen = seeded;
     meta_crc;
     min_key = entries.(pos).key;
     max_key = entries.(stop - 1).key;
@@ -355,52 +370,168 @@ let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
 let group_count t = t.group_count
 
-type record = { slot : string; offset : int; count_ : int; shared : int; meta_idx : int }
+(* A prefix-layer record, parsed in place. [slot_cmp] and [head_cmp] are
+   computed against the probe the record was read for (by a caller that
+   has none, against empty strings, and then ignored): [slot_cmp] has the
+   sign of [String.compare slot probe_slot]; [head_cmp] compares the
+   group's key prefix (run tag ^ the slot's first [shared] bytes) with the
+   probe key's head — 0 when the key opens with it, 1 when the key ends
+   first, else the sign of the first differing byte. [key_prefix] is that
+   prefix itself, built only for readers that decode whole groups. *)
+type record = {
+  offset : int;
+  count_ : int;
+  shared : int;
+  meta_idx : int;
+  slot_cmp : int;
+  head_cmp : int;
+  key_prefix : string;
+}
 
 (* Must item [i] of [memo] have its CRC computed? Not while checks are off,
    nor when it already passed at the region's current generation. *)
 let needs_check t memo i = !verify_checksums && memo.(i) <> Pmem.generation t.region
 let passed t memo i = memo.(i) <- Pmem.generation t.region
 
-(* One PM access: the fixed-width prefix-layer record of group [g],
-   verified against its inline CRC (once per region generation). *)
-let read_record t g =
+let corrupted t layer index =
+  Integrity.Corrupted { region_id = Pmem.region_id t.region; layer; index }
+
+(* Byte-wise comparison of [s.[pos .. pos+len-1]] with [key] from [kpos]
+   on: the sign of the first differing byte, 1 when [key] ends first, 0
+   when all [len] bytes match. Chained over the pieces of a stored key, it
+   is [String.compare] without building the key. *)
+let rec compare_head s pos len key kpos =
+  if len = 0 then 0
+  else if kpos >= String.length key then 1
+  else
+    let c = Char.compare (String.get s pos) (String.get key kpos) in
+    if c <> 0 then c else compare_head s (pos + 1) (len - 1) key (kpos + 1)
+
+(* Record [g] at [r] in the view [s]: verified against its inline CRC
+   (once per region generation). *)
+let check_record t g s r =
   let w = record_width t in
-  let raw = Pmem.read t.dev t.region ~off:(t.prefix_off + (g * w)) ~len:w in
   if needs_check t t.record_gens g then begin
-    if Builder.read_u32 raw (w - 4) <> Util.Crc32.update 0 raw 0 (w - 4) then
-      raise
-        (Integrity.Corrupted
-           { region_id = Pmem.region_id t.region; layer = "prefix"; index = g });
+    if Builder.read_u32 s (r + w - 4) <> Util.Crc32.update 0 s r (w - 4) then
+      raise (corrupted t "prefix" g);
     passed t t.record_gens g
-  end;
-  {
-    slot = String.sub raw 0 t.prefix_len;
-    offset = Builder.read_u32 raw t.prefix_len;
-    count_ = Builder.read_u16 raw (t.prefix_len + 4);
-    shared = Char.code raw.[t.prefix_len + 6];
-    meta_idx = Builder.read_u16 raw (t.prefix_len + 7);
-  }
+  end
 
-let group_prefix t record =
-  let tag = t.metas.(record.meta_idx).tag in
-  tag ^ String.sub record.slot 0 record.shared
+(* One PM access: the fixed-width prefix-layer record of group [g], checked
+   and parsed in place. A record whose meta index or shared length is out
+   of range (rot read with checks off) gets no [head_cmp]/[key_prefix];
+   [check_prefix] raises for it where the group prefix is first used. *)
+let read_record_for ?(with_prefix = false) t g ~probe_slot ~key =
+  let w = record_width t in
+  Pmem.with_view t.dev t.region ~off:(t.prefix_off + (g * w)) ~len:w (fun s r ->
+      check_record t g s r;
+      let p = r + t.prefix_len in
+      let shared = Char.code s.[p + 6] and meta_idx = Builder.read_u16 s (p + 7) in
+      let well_formed = meta_idx < Array.length t.metas && shared <= t.prefix_len in
+      let tag = if well_formed then t.metas.(meta_idx).tag else "" in
+      let tag_len = String.length tag in
+      {
+        offset = Builder.read_u32 s p;
+        count_ = Builder.read_u16 s (p + 4);
+        shared;
+        meta_idx;
+        slot_cmp = compare_head s r t.prefix_len probe_slot 0;
+        head_cmp =
+          (if not well_formed then 0
+           else
+             let c = compare_head tag 0 tag_len key 0 in
+             if c <> 0 then c else compare_head s r shared key tag_len);
+        key_prefix =
+          (if not (well_formed && with_prefix) then ""
+           else begin
+             let b = Bytes.create (tag_len + shared) in
+             Bytes.blit_string tag 0 b 0 tag_len;
+             Bytes.blit_string s r b tag_len shared;
+             Bytes.unsafe_to_string b
+           end);
+      })
 
-(* The first entry's key of group [g]: read the head of the group's extent
-   for the length varint, then the suffix itself (a second access only when
-   the suffix outruns the peek). Used only to break slot ties. *)
-let read_first_key t record =
+let read_record ?with_prefix t g = read_record_for ?with_prefix t g ~probe_slot:"" ~key:""
+
+(* The exceptions the group prefix raised when it was built by slicing
+   the record (a rotten meta index or shared length, read with checks
+   off), at the point where it was built. *)
+let check_prefix t record =
+  if record.meta_idx >= Array.length t.metas then invalid_arg "index out of bounds";
+  if record.shared > t.prefix_len then invalid_arg "String.sub / Bytes.sub"
+
+(* Host-only: the entry-layer offset of group [g] from its record, checked
+   as [read_record] would. *)
+let inspect_offset t g =
+  let w = record_width t in
+  Pmem.inspect t.region ~off:(t.prefix_off + (g * w)) ~len:w (fun s r ->
+      check_record t g s r;
+      Builder.read_u32 s (r + t.prefix_len))
+
+(* The peek below reads group [g]'s first key, which steers lookups; unless
+   the group already passed at this generation, check its CRC over the
+   region in place first. Host-only, like the memo's seeding: the bytes
+   the peek reads are charged, the rest of the extent is not. *)
+let check_peek t g record =
+  if needs_check t t.group_gens g then begin
+    let stop = if g + 1 < t.group_count then inspect_offset t (g + 1) else t.entry_len in
+    let len = stop - record.offset in
+    if Pmem.inspect t.region ~off:record.offset ~len (fun s pos -> Util.Crc32.update 0 s pos len)
+       <> t.gcrcs.(g)
+    then raise (corrupted t "entry" g);
+    passed t t.group_gens g
+  end
+
+(* The stored suffix of group [g]'s first key, passed to [part] piece by
+   piece: read the head of the group's extent for the length varint and
+   the suffix, and a second access only when the suffix outruns the peek.
+   Used only to break slot ties and to follow version runs. *)
+let peek_first_key t g record ~part =
   let peek = min 16 (t.entry_len - record.offset) in
-  let head = Pmem.read t.dev t.region ~off:record.offset ~len:peek in
-  let suffix_len, p = Util.Varint.read head 0 in
-  let available = peek - p in
-  let suffix =
-    if suffix_len <= available then String.sub head p suffix_len
-    else
-      String.sub head p available
-      ^ Pmem.read t.dev t.region ~off:(record.offset + peek) ~len:(suffix_len - available)
+  let rest =
+    Pmem.with_view t.dev t.region ~off:record.offset ~len:peek (fun s pos ->
+        check_peek t g record;
+        let c = Util.Cursor.create ~stop:(pos + peek) s pos in
+        let suffix_len = Util.Cursor.varint c in
+        let p = Util.Cursor.pos c in
+        let available = pos + peek - p in
+        if suffix_len < 0 then invalid_arg "String.sub / Bytes.sub";
+        if suffix_len <= available then begin
+          part s p suffix_len;
+          0
+        end
+        else begin
+          part s p available;
+          suffix_len - available
+        end)
   in
-  group_prefix t record ^ suffix
+  if rest > 0 then
+    Pmem.with_view t.dev t.region ~off:(record.offset + peek) ~len:rest (fun s pos ->
+        part s pos rest);
+  check_prefix t record
+
+(* [String.compare] of group [g]'s first key with the key [record] was read
+   for, compared in place. *)
+let compare_first_key t g record key =
+  let c = ref record.head_cmp in
+  let kpos =
+    ref
+      (if record.meta_idx < Array.length t.metas then
+         String.length t.metas.(record.meta_idx).tag + record.shared
+       else 0)
+  in
+  peek_first_key t g record ~part:(fun s pos len ->
+      if !c = 0 then begin
+        c := compare_head s pos len key !kpos;
+        kpos := !kpos + len
+      end);
+  if !c <> 0 then !c else if !kpos < String.length key then -1 else 0
+
+(* Group [g]'s first key itself; [record] was read [~with_prefix]. *)
+let first_key t g record =
+  let b = Buffer.create 64 in
+  peek_first_key t g record ~part:(fun s pos len -> Buffer.add_substring b s pos len);
+  record.key_prefix ^ Buffer.contents b
 
 let group_extent t g record =
   let stop =
@@ -408,29 +539,36 @@ let group_extent t g record =
   in
   (record.offset, stop)
 
-(* A group's raw extent, verified against the handle-cached group CRC —
-   one string pass, no extra PM access, once per region generation — so a
-   rotten group raises instead of decoding junk. Charges the decode CPU of
-   the whole group. *)
-let group_bytes t g record =
+(* A group's extent, read in place and verified against the handle-cached
+   group CRC — one pass over the view, no extra PM access, once per region
+   generation — so a rotten group raises instead of decoding junk; then the
+   decode CPU of the whole group is charged and [decode s pos stop] runs on
+   the view, which it must not keep. *)
+let with_group t g record decode =
   let start, stop = group_extent t g record in
-  let raw = Pmem.read t.dev t.region ~off:start ~len:(stop - start) in
-  if needs_check t t.group_gens g then begin
-    if Util.Crc32.string raw <> t.gcrcs.(g) then
-      raise
-        (Integrity.Corrupted
-           { region_id = Pmem.region_id t.region; layer = "entry"; index = g });
-    passed t t.group_gens g
-  end;
-  charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
-  raw
+  let len = stop - start in
+  Pmem.with_view t.dev t.region ~off:start ~len (fun s pos ->
+      if needs_check t t.group_gens g then begin
+        if Util.Crc32.update 0 s pos len <> t.gcrcs.(g) then raise (corrupted t "entry" g);
+        passed t t.group_gens g
+      end;
+      charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
+      decode s pos (pos + len))
 
-(* Decode a group's entries, reconstructing full keys. *)
+(* Decode a group's entries, reconstructing full keys; [record] was read
+   [~with_prefix]. Keys carry the hashes recorded at build while the region
+   still holds the sealed bytes, and are hashed afresh otherwise. *)
 let read_group t g record =
-  let raw = group_bytes t g record in
-  let key_prefix = group_prefix t record in
-  let cur = Util.Cursor.create raw 0 in
-  Array.init record.count_ (fun _ -> Util.Kv.decode_from ~key_prefix cur)
+  with_group t g record (fun s pos stop ->
+      check_prefix t record;
+      let key_prefix = record.key_prefix in
+      let cur = Util.Cursor.create ~stop s pos in
+      if Pmem.generation t.region = t.hashes_gen then begin
+        let first = t.group_first.(g) in
+        Array.init record.count_ (fun i ->
+            Util.Kv.decode_hashed ~key_prefix ~key_hash:t.hashes.(first + i) cur)
+      end
+      else Array.init record.count_ (fun _ -> Util.Kv.decode_from ~key_prefix cur))
 
 (* Reopen a table from its persisted region (after a restart or crash):
    the footer locates the layers, the meta layer restores the tag index and
@@ -506,6 +644,9 @@ let open_existing dev region =
       gcrcs;
       record_gens = Array.make group_count (-1);
       group_gens = Array.make group_count (-1);
+      hashes = [||];
+      group_first = [||];
+      hashes_gen = -1;
       meta_crc;
       min_key = "";
       max_key = "";
@@ -515,8 +656,10 @@ let open_existing dev region =
     }
   in
   if group_count = 0 then failwith "Pm_table.open_existing: empty table";
-  let first_key = read_first_key t (read_record t 0) in
-  let last_group = read_group t (group_count - 1) (read_record t (group_count - 1)) in
+  let first_key = first_key t 0 (read_record ~with_prefix:true t 0) in
+  let last_group =
+    read_group t (group_count - 1) (read_record ~with_prefix:true t (group_count - 1))
+  in
   let last_key = last_group.(Array.length last_group - 1).Util.Kv.key in
   { t with min_key = first_key; max_key = last_key }
 
@@ -547,61 +690,66 @@ let metas_for t key =
   end
 
 (* Compare group [g]'s first entry against probe (key, +inf): slots first
-   (one access already paid by the caller's [record]), exact first-key read
+   (compared in place by the caller's [record] read), the exact first key
    only on ties. Returns < 0 when the group starts before the probe. *)
-let compare_group_start t record ~probe_slot ~key =
-  let c = String.compare record.slot probe_slot in
-  if c <> 0 then c
+let compare_group_start t g record ~key =
+  if record.slot_cmp <> 0 then record.slot_cmp
   else begin
-    let first_key = read_first_key t record in
-    let c = String.compare first_key key in
+    let c = compare_first_key t g record key in
     if c <> 0 then c else 1 (* same key: first entry sorts after (key, +inf) *)
   end
 
 (* Last group in [g_lo, g_hi) starting at or before the probe, or None when
    the probe precedes the run's first group. *)
 let locate t ~g_lo ~g_hi ~probe_slot ~key =
+  let starts_after g = compare_group_start t g (read_record_for t g ~probe_slot ~key) ~key > 0 in
   if g_hi <= g_lo then None
-  else if compare_group_start t (read_record t g_lo) ~probe_slot ~key > 0 then None
+  else if starts_after g_lo then None
   else begin
     let lo = ref g_lo and hi = ref (g_hi - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if compare_group_start t (read_record t mid) ~probe_slot ~key <= 0 then lo := mid
-      else hi := mid - 1
+      if not (starts_after mid) then lo := mid else hi := mid - 1
     done;
     Some !lo
   end
 
 (* The first entry of group [g] with [key]: the same PM access, check and
-   charge as [read_group], but only the match is decoded. *)
-let find_in_group t g record key =
-  let raw = group_bytes t g record in
-  Util.Kv.find_from ~key_prefix:(group_prefix t record) (Util.Cursor.create raw 0)
-    ~count:record.count_ key
+   charge as [read_group], but keys are compared in place against [key]'s
+   tail past the group prefix and only the match is decoded. A key that
+   does not open with the group prefix can match nothing; the group is
+   still scanned, as a decode would. *)
+let find_in_group t g record key ~key_hash =
+  with_group t g record (fun s pos stop ->
+      check_prefix t record;
+      let skip =
+        if record.head_cmp = 0 then String.length t.metas.(record.meta_idx).tag + record.shared
+        else String.length key + 1
+      in
+      Util.Kv.find_from ~skip ~key_hash (Util.Cursor.create ~stop s pos) ~count:record.count_ key)
 
-let get_in_run t ~g_lo ~g_hi key tag =
+let get_in_run t ~g_lo ~g_hi key ~key_hash tag =
+  let probe_slot = pad_slot t.prefix_len (strip tag key) in
   (* Version runs can spill across group boundaries: after the landing
      group, follow groups while they still open with the probe key. *)
   let rec spill g =
     if g >= g_hi then None
     else
-      let record = read_record t g in
-      if read_first_key t record = key then
-        match find_in_group t g record key with
+      let record = read_record_for t g ~probe_slot ~key in
+      if compare_first_key t g record key = 0 then
+        match find_in_group t g record key ~key_hash with
         | Some e -> Some e
         | None -> spill (g + 1)
       else None
   in
-  let probe_slot = pad_slot t.prefix_len (strip tag key) in
   match locate t ~g_lo ~g_hi ~probe_slot ~key with
   | None ->
       (* The probe (key, +inf) sorts before every entry of its own key, so
          a key that opens the run lands here: check the first group. *)
       spill g_lo
   | Some g -> (
-      let record = read_record t g in
-      match find_in_group t g record key with
+      let record = read_record_for t g ~probe_slot ~key in
+      match find_in_group t g record key ~key_hash with
       | Some e -> Some e
       | None -> spill (g + 1))
 
@@ -610,12 +758,13 @@ let has_bloom t = t.bloom <> None
 let get ?(use_bloom = true) t key =
   if key < t.min_key || key > t.max_key then None
   else
+    let key_hash = Util.Kv.key_hash key in
     let screened =
       match t.bloom with
       | Some b when use_bloom ->
           incr bloom_probes;
           Obs.Attr.charge Obs.Attr.Pm_bloom 0.0;
-          let absent = not (Bloom.mem b key) in
+          let absent = not (Bloom.mem_hash b key_hash) in
           if absent then incr bloom_negatives;
           absent
       | _ -> false
@@ -623,19 +772,20 @@ let get ?(use_bloom = true) t key =
     if screened then None
     else
       List.find_map
-        (fun { tag; g_lo; g_hi } -> get_in_run t ~g_lo ~g_hi key tag)
+        (fun { tag; g_lo; g_hi } -> get_in_run t ~g_lo ~g_hi key ~key_hash tag)
         (metas_for t key)
+
+let read_group_at t g = read_group t g (read_record ~with_prefix:true t g)
 
 let iter t f =
   for g = 0 to t.group_count - 1 do
-    let record = read_record t g in
-    Array.iter f (read_group t g record)
+    Array.iter f (read_group_at t g)
   done
 
 (* Every entry in order: the reads, checks and charges of [iter], decoded
    group by group straight into arrays. *)
 let to_array t =
-  Array.concat (List.init t.group_count (fun g -> read_group t g (read_record t g)))
+  Array.concat (List.init t.group_count (read_group_at t))
 
 (* First group that could contain a key >= [start]: per run, locate and
    step back never needed (locate gives last group starting <= start, whose
@@ -667,8 +817,7 @@ let range t ~start ~stop f =
     let continue = ref true in
     let g = ref start_group in
     while !continue && !g < t.group_count do
-      let record = read_record t !g in
-      let entries = read_group t !g record in
+      let entries = read_group_at t !g in
       Array.iter
         (fun (e : Util.Kv.entry) ->
           if String.compare e.key stop >= 0 then continue := false
@@ -715,7 +864,7 @@ let verify t =
        done
      with _ -> note "gcrc" 0);
     for g = 0 to t.group_count - 1 do
-      match read_record t g with
+      match read_record ~with_prefix:true t g with
       | record -> (
           try ignore (read_group t g record) with _ -> note "entry" g)
       | exception _ -> note "prefix" g
@@ -732,7 +881,7 @@ let verify t =
 let salvage_entries t =
   let groups =
     Array.init t.group_count (fun g ->
-        try Some (read_group t g (read_record t g)) with _ -> None)
+        try Some (read_group_at t g) with _ -> None)
   in
   let survivors =
     Array.concat (List.filter_map Fun.id (Array.to_list groups))

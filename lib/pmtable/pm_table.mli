@@ -79,7 +79,8 @@ val region_id : t -> int
 
     Every layer is checksummed: inline CRC32 per prefix record (verified on
     every probe), per-group entry-extent CRC32s cached in the handle
-    (verified on every group read at no extra PM access), and meta/footer
+    (verified on every group read, and before a group's first key is
+    peeked to break a slot tie, at no extra PM access), and meta/footer
     CRC32s (verified at {!open_existing} and by {!verify}). A failed
     comparison on the read path raises [Integrity.Corrupted]. The handle
     memoizes, per record and per group, the {!Pmem.generation} of the last

@@ -59,10 +59,20 @@ type shadow = {
   mutable dead : bool;       (* freed; kept reachable via the epoch list *)
 }
 
+(* An empty shadow, to fill unused slots of the epoch arrays. *)
+let no_shadow = { sid = -1; nlines = 0; state = Bytes.empty; s_unfenced = 0; dead = true }
+
 type t = {
   regions : (int, shadow) Hashtbl.t;
-  mutable epoch_lines : (shadow * int) list;
-      (* lines flushed since the last drain; drained in O(flushes) *)
+  (* line ranges [lo, hi] flushed since the last drain, one slot per flush
+     call that opened a line's epoch: slots [0, epoch_n) of three growable
+     arrays, reused across epochs, so a flush allocates nothing. A range may
+     also cover lines already in the epoch; the drain is idempotent per
+     line. Drained in O(lines flushed). *)
+  mutable epoch_shadows : shadow array;
+  mutable epoch_lo : int array;
+  mutable epoch_hi : int array;
+  mutable epoch_n : int;
   mutable epoch_flush_calls : int;
   mutable unfenced_total : int;
   (* counters *)
@@ -80,7 +90,10 @@ type t = {
 let create () =
   {
     regions = Hashtbl.create 64;
-    epoch_lines = [];
+    epoch_shadows = Array.make 16 no_shadow;
+    epoch_lo = Array.make 16 0;
+    epoch_hi = Array.make 16 0;
+    epoch_n = 0;
     epoch_flush_calls = 0;
     unfenced_total = 0;
     commit_points = 0;
@@ -169,6 +182,23 @@ let on_write t ~id ~off ~len =
         Bytes.set sh.state l (Char.chr b')
       done
 
+let push_epoch_range t sh lo hi =
+  let n = t.epoch_n in
+  if n = Array.length t.epoch_lo then begin
+    let grow a fill =
+      let b = Array.make (2 * n) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.epoch_shadows <- grow t.epoch_shadows no_shadow;
+    t.epoch_lo <- grow t.epoch_lo 0;
+    t.epoch_hi <- grow t.epoch_hi 0
+  end;
+  t.epoch_shadows.(n) <- sh;
+  t.epoch_lo.(n) <- lo;
+  t.epoch_hi.(n) <- hi;
+  t.epoch_n <- n + 1
+
 let on_flush t ~id ~off ~len =
   t.epoch_flush_calls <- t.epoch_flush_calls + 1;
   match Hashtbl.find_opt t.regions id with
@@ -176,6 +206,7 @@ let on_flush t ~id ~off ~len =
   | Some sh ->
       let lo, hi = line_range ~off ~len sh.nlines in
       let site = lazy (Site.capture ()) in
+      let opened = ref false in
       for l = lo to hi do
         let b = Char.code (Bytes.get sh.state l) in
         let redundant = b land b_epoch <> 0 || b land st_mask = 0 in
@@ -184,20 +215,22 @@ let on_flush t ~id ~off ~len =
           bump_site t (Lazy.force site)
         end;
         let b = if b land b_epoch = 0 then begin
-            t.epoch_lines <- (sh, l) :: t.epoch_lines;
+            opened := true;
             b lor b_epoch
           end else b
         in
         let b = if b land st_mask = st_dirty then b land lnot st_mask lor st_flushed else b in
         Bytes.set sh.state l (Char.chr b)
-      done
+      done;
+      if !opened then push_epoch_range t sh lo hi
 
 let on_drain t =
   if t.epoch_flush_calls = 0 then
     report t Fence_without_flush ~region_id:(-1)
       ~detail:"drain issued with no flush since the previous drain";
-  List.iter
-    (fun (sh, l) ->
+  for i = 0 to t.epoch_n - 1 do
+    let sh = t.epoch_shadows.(i) in
+    for l = t.epoch_lo.(i) to t.epoch_hi.(i) do
       let b = Char.code (Bytes.get sh.state l) in
       let b = b land lnot b_epoch in
       let b =
@@ -210,9 +243,11 @@ let on_drain t =
         end
         else b
       in
-      Bytes.set sh.state l (Char.chr b))
-    t.epoch_lines;
-  t.epoch_lines <- [];
+      Bytes.set sh.state l (Char.chr b)
+    done;
+    t.epoch_shadows.(i) <- no_shadow
+  done;
+  t.epoch_n <- 0;
   t.epoch_flush_calls <- 0
 
 let on_commit_point t name =
@@ -272,7 +307,8 @@ let on_crash t =
       sh.s_unfenced <- 0)
     t.regions;
   t.unfenced_total <- 0;
-  t.epoch_lines <- [];
+  Array.fill t.epoch_shadows 0 t.epoch_n no_shadow;
+  t.epoch_n <- 0;
   t.epoch_flush_calls <- 0
 
 let error_count t =

@@ -154,7 +154,7 @@ let build ?(block_bytes = default_block_bytes) ?pos ?len ssd
   let blocks = Array.of_list (List.rev !blocks) in
   let bloom = Bloom.create ~bits_per_key n in
   for i = pos to stop - 1 do
-    Bloom.add bloom entries.(i).Util.Kv.key
+    Bloom.add_hash bloom entries.(i).Util.Kv.key_hash
   done;
   let min_key = entries.(pos).key and max_key = entries.(stop - 1).key in
   Ssd.append ssd file
@@ -353,15 +353,17 @@ let scan_block t data ~entries f =
    a full decode up to the match would be. *)
 let get ?(use_bloom = true) t key =
   if key < t.min_key || key > t.max_key then None
-  else if use_bloom && not (Bloom.mem t.bloom key) then None
   else
-    match locate_block t key with
-    | None -> None
-    | Some i ->
-        Util.Kv.find_sorted
-          (Util.Cursor.create (read_block t i) 0)
-          ~count:t.blocks.(i).entries key
-          ~visit:(fun () -> charge_cpu t decode_cpu_ns)
+    let key_hash = Util.Kv.key_hash key in
+    if use_bloom && not (Bloom.mem_hash t.bloom key_hash) then None
+    else
+      match locate_block t key with
+      | None -> None
+      | Some i ->
+          Util.Kv.find_sorted ~key_hash
+            (Util.Cursor.create (read_block t i) 0)
+            ~count:t.blocks.(i).entries key
+            ~visit:(fun () -> charge_cpu t decode_cpu_ns)
 
 let iter t f =
   Array.iteri

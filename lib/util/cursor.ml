@@ -1,15 +1,25 @@
 (* A moving read position over an encoded string (see cursor.mli). The
    decoders advance [pos] in place, so decoding a record allocates only the
-   strings and the record it returns. *)
+   strings and the record it returns. Every read stops at [stop], so a view
+   of a larger buffer decodes exactly as a copy of the slice would. *)
 
-type t = { s : string; mutable pos : int }
+type t = { s : string; mutable pos : int; stop : int }
 
-let create s pos = { s; pos }
+let create ?stop s pos =
+  let stop =
+    match stop with
+    | None -> String.length s
+    | Some stop ->
+        if stop < 0 || stop > String.length s then invalid_arg "Cursor.create: stop out of bounds";
+        stop
+  in
+  { s; pos; stop }
+
 let pos c = c.pos
 
 (* The LEB128 decoder behind [Varint.read] (see varint.ml for the format). *)
 let rec varint_from c pos shift acc =
-  if pos >= String.length c.s then failwith "Varint.read: truncated input";
+  if pos >= c.stop then failwith "Varint.read: truncated input";
   let byte = Char.code (String.get c.s pos) in
   let acc = acc lor ((byte land 0x7f) lsl shift) in
   if byte < 0x80 then begin
@@ -22,7 +32,7 @@ let rec varint_from c pos shift acc =
 let varint c = varint_from c c.pos 0 0
 
 let byte c =
-  if c.pos >= String.length c.s then failwith "Cursor.byte: truncated input";
+  if c.pos >= c.stop then failwith "Cursor.byte: truncated input";
   let b = String.get c.s c.pos in
   c.pos <- c.pos + 1;
   b
@@ -32,7 +42,7 @@ let byte c =
    a negative int, so that is rejected too. *)
 let string_len c =
   let len = varint c in
-  if len < 0 || len > String.length c.s - c.pos then
+  if len < 0 || len > c.stop - c.pos then
     failwith "Varint.read_string: truncated input";
   len
 
@@ -57,14 +67,11 @@ let rec equal_sub a aoff b boff len =
   len <= 0
   || (String.get a aoff = String.get b boff && equal_sub a (aoff + 1) b (boff + 1) (len - 1))
 
-let string_equals c ~prefix key =
+let suffix_equals c key ~from =
   let len = string_len c in
   let start = c.pos in
   c.pos <- start + len;
-  let plen = String.length prefix in
-  plen + len = String.length key
-  && equal_sub prefix 0 key 0 plen
-  && equal_sub c.s start key plen len
+  from >= 0 && from + len = String.length key && equal_sub c.s start key from len
 
 (* Byte-wise, like [String.compare]: the first differing byte decides, then
    the length. *)

@@ -6,8 +6,11 @@
 
 type t
 
-val create : string -> int -> t
-(** [create s pos] starts reading [s] at [pos]. *)
+val create : ?stop:int -> string -> int -> t
+(** [create ?stop s pos] starts reading [s] at [pos]; no read goes past
+    [stop] (default: the end of [s]), so a cursor over a slice of a larger
+    buffer raises on truncated input exactly as one over a copy of the
+    slice would. Raises [Invalid_argument] when [stop] lies outside [s]. *)
 
 val pos : t -> int
 (** Offset of the next unread byte. *)
@@ -26,10 +29,10 @@ val string : ?prefix:string -> t -> string
 val skip_string : t -> unit
 (** Step over a length-prefixed string without copying it. *)
 
-val string_equals : t -> prefix:string -> string -> bool
-(** [string_equals c ~prefix key] reads a length-prefixed string [s], as
-    {!string} would, and tells whether [prefix ^ s = key] — without
-    building [prefix ^ s]. *)
+val suffix_equals : t -> string -> from:int -> bool
+(** [suffix_equals c key ~from] reads a length-prefixed string [s], as
+    {!string} would, and tells whether [s] is [key] from offset [from] on —
+    without copying either. *)
 
 val compare_string : t -> string -> int
 (** [compare_string c key] reads a length-prefixed string [s], as {!string}

@@ -8,13 +8,46 @@
 
 type kind = Put | Delete
 
-type entry = { key : string; seq : int; kind : kind; value : string }
+(* [key_hash] is [key_hash key], computed once where the entry is made:
+   the type is private, so no entry outside this module can carry a stale
+   one, and structural equality still means equal fields. *)
+type entry = { key : string; seq : int; kind : kind; value : string; key_hash : int }
 
-let entry ?(kind = Put) ~key ~seq value = { key; seq; kind; value }
+(* 31-bit FNV-1a; stored Bloom filters depend on its values. Every step is
+   kept modulo 2^63 and masked once at the end: the low 31 bits of an xor
+   and a product depend only on the low 31 bits of their operands, so this
+   is the per-byte-masked loop's value. Eight bytes are loaded per step
+   and folded byte by byte, low first. *)
+let fnv_prime = 0x01000193
 
-let tombstone ~key ~seq = { key; seq; kind = Delete; value = "" }
+let key_hash s =
+  let n = String.length s in
+  let h = ref 0x811c9dc5 and i = ref 0 in
+  while !i + 8 <= n do
+    let w = String.get_int64_le s !i in
+    (* [Int64.to_int] keeps the low 63 bits: bytes 0-6 whole *)
+    let lo = Int64.to_int w in
+    let x = (!h lxor (lo land 0xff)) * fnv_prime in
+    let x = (x lxor ((lo lsr 8) land 0xff)) * fnv_prime in
+    let x = (x lxor ((lo lsr 16) land 0xff)) * fnv_prime in
+    let x = (x lxor ((lo lsr 24) land 0xff)) * fnv_prime in
+    let x = (x lxor ((lo lsr 32) land 0xff)) * fnv_prime in
+    let x = (x lxor ((lo lsr 40) land 0xff)) * fnv_prime in
+    let x = (x lxor ((lo lsr 48) land 0xff)) * fnv_prime in
+    h := (x lxor Int64.to_int (Int64.shift_right_logical w 56)) * fnv_prime;
+    i := !i + 8
+  done;
+  for j = !i to n - 1 do
+    h := (!h lxor Char.code (String.get s j)) * fnv_prime
+  done;
+  (* the byte loop masked after each byte, so it left the empty key's
+     offset basis, above 31 bits, as it was *)
+  if n = 0 then !h else !h land 0x7fffffff
 
-let filler = { key = ""; seq = 0; kind = Delete; value = "" }
+let make ~key ~seq ~kind ~value = { key; seq; kind; value; key_hash = key_hash key }
+let entry ?(kind = Put) ~key ~seq value = make ~key ~seq ~kind ~value
+let tombstone ~key ~seq = make ~key ~seq ~kind:Delete ~value:""
+let filler = tombstone ~key:"" ~seq:0
 
 (* Internal ordering: by key ascending, then by seq *descending*, so the
    newest version of a key sorts first — the order every merge relies on. *)
@@ -65,14 +98,19 @@ let encode ?(strip = 0) buf e =
   Buffer.add_char buf (kind_byte e.kind);
   Varint.write_string buf e.value
 
-(* The rest of an entry once its key has been read. *)
-let decode_tail c key =
+(* The rest of an entry once its key, whose hash is [key_hash], has been
+   read. *)
+let decode_tail c key key_hash =
   let seq = Cursor.varint c in
   let kind = if Cursor.byte c = '\000' then Delete else Put in
   let value = Cursor.string c in
-  { key; seq; kind; value }
+  { key; seq; kind; value; key_hash }
 
-let decode_from ?key_prefix c = decode_tail c (Cursor.string ?prefix:key_prefix c)
+let decode_from ?key_prefix c =
+  let key = Cursor.string ?prefix:key_prefix c in
+  decode_tail c key (key_hash key)
+
+let decode_hashed ~key_prefix ~key_hash c = decode_tail c (Cursor.string ~prefix:key_prefix c) key_hash
 
 (* Step over the rest of an entry once its key has been read. *)
 let skip_tail c =
@@ -80,10 +118,10 @@ let skip_tail c =
   ignore (Cursor.byte c);
   Cursor.skip_string c
 
-let find_from ~key_prefix c ~count key =
+let find_from ~skip ~key_hash c ~count key =
   let rec scan i =
     if i >= count then None
-    else if Cursor.string_equals c ~prefix:key_prefix key then Some (decode_tail c key)
+    else if Cursor.suffix_equals c key ~from:skip then Some (decode_tail c key key_hash)
     else begin
       skip_tail c;
       scan (i + 1)
@@ -91,13 +129,13 @@ let find_from ~key_prefix c ~count key =
   in
   scan 0
 
-let find_sorted c ~count key ~visit =
+let find_sorted ~key_hash c ~count key ~visit =
   let rec scan i =
     if i >= count then None
     else begin
       let cmp = Cursor.compare_string c key in
       visit ();
-      if cmp = 0 then Some (decode_tail c key)
+      if cmp = 0 then Some (decode_tail c key key_hash)
       else if cmp > 0 then None
       else begin
         skip_tail c;

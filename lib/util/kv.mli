@@ -5,7 +5,24 @@
 
 type kind = Put | Delete
 
-type entry = { key : string; seq : int; kind : kind; value : string }
+type entry = private {
+  key : string;
+  seq : int;
+  kind : kind;
+  value : string;
+  key_hash : int;  (** always [key_hash key] *)
+}
+(** Entries are made only by {!entry}, {!tombstone} and the decoders,
+    which all set [key_hash] to {!key_hash}[ key]: a table build adds the
+    carried hash to its Bloom filter instead of hashing the key again.
+    The type is private so that no [{ e with key = ... }] outside this
+    module can pair a key with another key's hash; since the hash is a
+    function of the key, structural equality of entries still means equal
+    key, seq, kind and value. *)
+
+val key_hash : string -> int
+(** The 31-bit FNV-1a hash of a key, the base hash of every Bloom filter
+    probe. Stored filters depend on its values: they must never change. *)
 
 val entry : ?kind:kind -> key:string -> seq:int -> string -> entry
 val tombstone : key:string -> seq:int -> entry
@@ -47,22 +64,32 @@ val decode : string -> int -> entry * int
     just past it. Raises [Failure] on truncated input. *)
 
 val decode_from : ?key_prefix:string -> Cursor.t -> entry
-(** Decode one entry at the cursor and advance past it. [key_prefix] is
-    prepended to the stored key (the PM table strips shared prefixes). *)
+(** Decode one entry at the cursor and advance past it, hashing its key.
+    [key_prefix] is prepended to the stored key (the PM table strips
+    shared prefixes). *)
 
-val find_from : key_prefix:string -> Cursor.t -> count:int -> string -> entry option
-(** [find_from ~key_prefix c ~count key] scans up to [count] entries at
-    the cursor for the first whose key ([key_prefix] ^ stored key) is
-    [key], and decodes only that one: the other keys are compared in place
-    and their values skipped. *)
+val decode_hashed : key_prefix:string -> key_hash:int -> Cursor.t -> entry
+(** {!decode_from} for a reader that already knows the decoded key's hash
+    (a PM table reading back the bytes it built): [key_hash] is stored as
+    given, so it must be {!key_hash} of [key_prefix] ^ the stored key. *)
+
+val find_from :
+  skip:int -> key_hash:int -> Cursor.t -> count:int -> string -> entry option
+(** [find_from ~skip ~key_hash c ~count key] scans up to [count] entries
+    at the cursor, stored without their first [skip] key bytes (a PM
+    group's shared prefix, which the caller has checked [key] opens with),
+    for the first whose key is [key], and decodes only that one: the
+    other keys are compared in place and their values skipped. The match
+    carries [key] and [key_hash], which must be {!key_hash}[ key]. *)
 
 val find_sorted :
-  Cursor.t -> count:int -> string -> visit:(unit -> unit) -> entry option
-(** [find_sorted c ~count key ~visit] scans up to [count] entries sorted
-    by key, with unstripped keys, for the first whose key is [key]: keys
-    are compared in place, values skipped, and only the match is decoded.
-    Stops at the first greater key. [visit] runs once per entry whose key
-    was compared, the match and the stopping key included. *)
+  key_hash:int -> Cursor.t -> count:int -> string -> visit:(unit -> unit) -> entry option
+(** [find_sorted ~key_hash c ~count key ~visit] scans up to [count]
+    entries sorted by key, with unstripped keys, for the first whose key
+    is [key]: keys are compared in place, values skipped, and only the
+    match is decoded, carrying [key_hash] ({!key_hash}[ key]). Stops at
+    the first greater key. [visit] runs once per entry whose key was
+    compared, the match and the stopping key included. *)
 
 val pp : entry Fmt.t
 val pp_kind : kind Fmt.t

@@ -560,6 +560,36 @@ let test_corruption_sweep_catches_planted_bug () =
       check Alcotest.bool "violations reported" true
         (Fault.Corruption_sweep.violation_count report > 0))
 
+(* The first-key peek steers a lookup through tied slots: rot in the
+   peeked bytes once sent it past its key, a silent miss until the next
+   scrub. Keys here tie on their 24-byte slots and differ in their tails;
+   flipping the first suffix byte of group 2's first key makes that group
+   look as if it started after every key it holds. A get of a key in the
+   group must raise, never answer None. *)
+let test_peek_rot_never_misses () =
+  let pm = Pmem.create (Sim.Clock.create ()) in
+  let key i = Printf.sprintf "t0001%02d%s%06d" (i / 40) (String.make 30 'x') i in
+  let entries =
+    Array.init 80 (fun i -> Util.Kv.entry ~key:(key i) ~seq:(i + 1) (Printf.sprintf "v%d" i))
+  in
+  let t = Pmtable.Pm_table.build pm entries in
+  let region = Option.get (Pmem.find_region pm (Pmtable.Pm_table.region_id t)) in
+  let probe = entries.(19) in
+  check Alcotest.bool "clean read" true (Pmtable.Pm_table.get t probe.key = Some probe);
+  let entry_len, _, _ = pm_layout region in
+  let group2 =
+    u32_at (Pmem.unsafe_peek region ~off:(entry_len + (2 * pm_record_width)) ~len:pm_record_width) 24
+  in
+  (* past the one-byte suffix length: the first byte of the stored suffix *)
+  Pmem.corrupt_region pm region ~off:(group2 + 1);
+  match Pmtable.Pm_table.get t probe.key with
+  | Some e when e = probe -> ()
+  | Some _ -> Alcotest.fail "wrong answer under peek rot"
+  | None -> Alcotest.fail "silent miss under peek rot"
+  | exception Pmtable.Integrity.Corrupted { layer; index; _ } ->
+      check Alcotest.string "the rotten group's layer" "entry" layer;
+      check Alcotest.int "the rotten group" 2 index
+
 let () =
   Alcotest.run "integrity"
     [
@@ -621,6 +651,7 @@ let () =
         [
           Alcotest.test_case "clean on a healthy stack" `Quick
             test_corruption_sweep_clean;
+          Alcotest.test_case "peek rot raises, never misses" `Quick test_peek_rot_never_misses;
           Alcotest.test_case "catches planted verify-skip bug" `Quick
             test_corruption_sweep_catches_planted_bug;
         ] );

@@ -125,6 +125,61 @@ let test_generation_tracks_byte_changes () =
   Pmem.crash dev;
   check Alcotest.bool "resurrected region bumps" true (Pmem.generation dead <> gd)
 
+(* [with_view] is [read] without the copy: on two sanitized devices driven
+   alike, one reading by copy and one by view, the bytes, the statistics,
+   the clock bits and every pmsan counter agree — including a flagged
+   read of a line left unpersisted at a commit point. *)
+let test_view_matches_read () =
+  let drive use_view =
+    let clock = Sim.Clock.create () in
+    let dev = Pmem.create clock in
+    let san = Sanitize.Pmsan.create () in
+    Pmem.set_sanitizer dev (Some san);
+    let r = Pmem.alloc dev 4096 in
+    Pmem.write dev r ~off:0 (String.init 4096 (fun i -> Char.chr (i land 0xff)));
+    Pmem.flush dev r ~off:0 ~len:2048;
+    Pmem.drain dev;
+    Pmem.commit_point dev "test.seal";
+    let read ~off ~len =
+      if use_view then Pmem.with_view dev r ~off ~len (fun s pos -> String.sub s pos len)
+      else Pmem.read dev r ~off ~len
+    in
+    let got = List.map (fun (off, len) -> read ~off ~len) [ (0, 64); (100, 900); (3000, 1096); (17, 0) ] in
+    let oob = try ignore (read ~off:4000 ~len:200); "no error" with Invalid_argument m -> m in
+    let s = Pmem.stats dev in
+    ( got,
+      oob,
+      (s.Pmem.reads, s.Pmem.bytes_read, Int64.bits_of_float s.Pmem.read_time),
+      Int64.bits_of_float (Sim.Clock.now clock),
+      Sanitize.Pmsan.
+        ( read_of_unpersisted san,
+          error_count san,
+          redundant_flushes san,
+          commit_points san,
+          List.length (findings san) ) )
+  in
+  let by_read = drive false and by_view = drive true in
+  let got_r, oob_r, stats_r, clock_r, san_r = by_read
+  and got_v, oob_v, stats_v, clock_v, san_v = by_view in
+  check (Alcotest.list Alcotest.string) "bytes" got_r got_v;
+  check Alcotest.string "bounds error" oob_r oob_v;
+  check Alcotest.bool "stats" true (stats_r = stats_v);
+  check Alcotest.int64 "clock bits" clock_r clock_v;
+  check Alcotest.bool "pmsan counters" true (san_r = san_v);
+  let unpersisted, _, _, _, _ = san_r in
+  check Alcotest.bool "the unpersisted read was flagged" true (unpersisted > 0)
+
+(* [inspect] sees the same bytes and leaves every counter alone. *)
+let test_inspect_is_host_only () =
+  let clock, dev = make () in
+  let r = Pmem.alloc dev 64 in
+  Pmem.write dev r ~off:0 "inspect me";
+  let before = ((Pmem.stats dev).Pmem.reads, Sim.Clock.now clock) in
+  check Alcotest.string "bytes" "inspect" (Pmem.inspect r ~off:0 ~len:7 (fun s pos -> String.sub s pos 7));
+  check Alcotest.bool "no charge" true (before = ((Pmem.stats dev).Pmem.reads, Sim.Clock.now clock));
+  check Alcotest.bool "bounds checked" true
+    (try Pmem.inspect r ~off:60 ~len:8 (fun _ _ -> false) with Invalid_argument _ -> true)
+
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"write/read roundtrip at random offsets" ~count:200
     QCheck.(pair (string_of_size Gen.(int_range 1 64)) (int_range 0 100))
@@ -152,6 +207,8 @@ let () =
           Alcotest.test_case "crash discards unflushed" `Quick test_crash_discards_unflushed;
           Alcotest.test_case "generation tracks byte changes" `Quick
             test_generation_tracks_byte_changes;
+          Alcotest.test_case "view matches read" `Quick test_view_matches_read;
+          Alcotest.test_case "inspect is host-only" `Quick test_inspect_is_host_only;
           qtest prop_roundtrip_random;
         ] );
     ]

@@ -32,7 +32,7 @@ let make_entries n =
       | _ -> Util.Keys.ycsb_key (Util.Xoshiro.int rng (n / 2))
     in
     let kind = if Util.Xoshiro.int rng 10 = 0 then Util.Kv.Delete else Util.Kv.Put in
-    entries := { Util.Kv.key; seq; kind; value = Util.Xoshiro.string rng 24 } :: !entries
+    entries := Util.Kv.entry ~kind ~key ~seq (Util.Xoshiro.string rng 24) :: !entries
   done;
   List.sort Util.Kv.compare_entry !entries
 
@@ -328,6 +328,79 @@ let test_builder_direct_write () =
   check Alcotest.string "bytes in order" (big ^ "abc" ^ tail)
     (Pmem.unsafe_peek region ~off:0 ~len:15_003)
 
+(* --- In-place reads and carried hashes ------------------------------------ *)
+
+let one_kb_table dev n =
+  let rng = Util.Xoshiro.create 29 in
+  let entries =
+    Array.init n (fun i ->
+        Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (Util.Xoshiro.string rng 1024))
+  in
+  Array.sort Util.Kv.compare_entry entries;
+  (Pmtable.Pm_table.build dev entries, entries)
+
+(* A group of eight 1 KB values is ~8 KB, past the minor heap's largest
+   block: a get that copied it out of the region allocated it straight in
+   the major heap. Reading in place allocates nothing there. *)
+let test_get_allocates_nothing_in_major_heap () =
+  let _, dev = make_dev () in
+  let tbl, entries = one_kb_table dev 512 in
+  let probe i = entries.((i * 37) mod 512) in
+  for i = 0 to 63 do
+    ignore (Sys.opaque_identity (Pmtable.Pm_table.get tbl (probe i).key))
+  done;
+  let _, promoted0, major0 = Gc.counters () in
+  for i = 0 to 499 do
+    let e = probe i in
+    match Pmtable.Pm_table.get tbl e.key with
+    | Some got when got = e -> ()
+    | _ -> Alcotest.failf "wrong answer for %s" e.key
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  check (Alcotest.float 0.0) "direct major-heap words over 500 gets" 0.0
+    (major1 -. major0 -. (promoted1 -. promoted0))
+
+let hashes_match tbl =
+  Array.for_all
+    (fun (e : Util.Kv.entry) -> e.key_hash = Util.Kv.key_hash e.key)
+    (Pmtable.Pm_table.to_array tbl)
+
+(* Decoded entries carry their key's hash: from the hashes recorded at
+   build, and hashed afresh by a reopened handle. *)
+let test_decoded_hashes () =
+  let _, dev = make_dev () in
+  let entries = Array.of_list (make_entries 400) in
+  let tbl = Pmtable.Pm_table.build dev entries in
+  check Alcotest.bool "after build" true (hashes_match tbl);
+  let e = entries.(123) in
+  check Alcotest.bool "get" true
+    (match Pmtable.Pm_table.get tbl e.key with
+    | Some got -> got.key_hash = Util.Kv.key_hash e.key
+    | None -> false);
+  let region = Option.get (Pmem.find_region dev (Pmtable.Pm_table.region_id tbl)) in
+  let reopened = Pmtable.Pm_table.open_existing dev region in
+  check Alcotest.bool "after reopen" true (hashes_match reopened);
+  check Alcotest.bool "same entries" true
+    (Pmtable.Pm_table.to_array tbl = Pmtable.Pm_table.to_array reopened)
+
+(* Hashes recorded at build describe the sealed bytes only: once the
+   region changes, decoded keys are hashed again. With checks off, a
+   flipped key byte decodes into a different key, which must not carry
+   the old key's hash. *)
+let test_recorded_hashes_follow_generation () =
+  let _, dev = make_dev () in
+  let tbl, entries = one_kb_table dev 64 in
+  let region = Option.get (Pmem.find_region dev (Pmtable.Pm_table.region_id tbl)) in
+  Fun.protect
+    ~finally:(fun () -> Pmtable.Pm_table.verify_checksums := true)
+    (fun () ->
+      Pmtable.Pm_table.verify_checksums := false;
+      (* byte 1: the first byte of the first stored key suffix *)
+      Pmem.corrupt_region dev region ~off:1;
+      let got = Pmtable.Pm_table.to_array tbl in
+      check Alcotest.bool "the rot reached a key" true (got.(0).key <> entries.(0).key);
+      check Alcotest.bool "every decoded hash is its key's" true (hashes_match tbl))
+
 let per_kind name f =
   List.map (fun (kname, kind) -> Alcotest.test_case (name ^ " [" ^ kname ^ "]") `Quick (f (kname, kind))) all_kinds
 
@@ -345,6 +418,14 @@ let () =
         @ per_kind "empty rejected" test_empty_rejected
         @ per_kind "slice build" test_slice_build );
       ("builder", [ Alcotest.test_case "direct write of a full chunk" `Quick test_builder_direct_write ]);
+      ( "in-place reads",
+        [
+          Alcotest.test_case "get allocates nothing in the major heap" `Quick
+            test_get_allocates_nothing_in_major_heap;
+          Alcotest.test_case "decoded hashes after build and reopen" `Quick test_decoded_hashes;
+          Alcotest.test_case "recorded hashes follow the generation" `Quick
+            test_recorded_hashes_follow_generation;
+        ] );
       ( "paper properties",
         [
           Alcotest.test_case "pm table compresses index keys" `Quick test_pm_table_compresses;

@@ -559,7 +559,7 @@ let entry_gen =
   QCheck.Gen.(
     map3
       (fun key seq (kind, value) ->
-        { Util.Kv.key; seq; kind = (if kind then Util.Kv.Put else Util.Kv.Delete); value })
+        Util.Kv.entry ~kind:(if kind then Util.Kv.Put else Util.Kv.Delete) ~key ~seq value)
       (string_size (int_range 1 40))
       (int_range 0 1_000_000)
       (pair bool (string_size (int_range 0 200))))
@@ -603,7 +603,9 @@ let encode_all ?strip es =
   Buffer.contents buf
 
 let with_prefix prefix es =
-  List.map (fun (e : Util.Kv.entry) -> { e with key = prefix ^ e.key }) es
+  List.map
+    (fun (e : Util.Kv.entry) -> Util.Kv.entry ~kind:e.kind ~key:(prefix ^ e.key) ~seq:e.seq e.value)
+    es
 
 let prop_kv_decode_from_prefix =
   QCheck.Test.make ~name:"encode ~strip / decode_from ~key_prefix roundtrip" ~count:300
@@ -635,8 +637,8 @@ let prop_kv_find_from =
         if pick mod 4 = 3 then prefix ^ "absent\255"
         else (List.nth full (pick mod List.length full)).key
       in
-      Util.Kv.find_from ~key_prefix:prefix (Util.Cursor.create raw 0)
-        ~count:(List.length es) probe
+      Util.Kv.find_from ~skip:(String.length prefix) ~key_hash:(Util.Kv.key_hash probe)
+        (Util.Cursor.create raw 0) ~count:(List.length es) probe
       = List.find_opt (fun (e : Util.Kv.entry) -> e.key = probe) full)
 
 let sign c = compare c 0
@@ -665,8 +667,8 @@ let prop_kv_find_sorted =
       in
       let visits = ref 0 in
       let found =
-        Util.Kv.find_sorted (Util.Cursor.create raw 0) ~count:(List.length es) probe
-          ~visit:(fun () -> incr visits)
+        Util.Kv.find_sorted ~key_hash:(Util.Kv.key_hash probe) (Util.Cursor.create raw 0)
+          ~count:(List.length es) probe ~visit:(fun () -> incr visits)
       in
       let rec expected_visits n = function
         | [] -> n
@@ -675,6 +677,21 @@ let prop_kv_find_sorted =
       in
       found = List.find_opt (fun (e : Util.Kv.entry) -> e.key = probe) es
       && !visits = expected_visits 0 es)
+
+(* A cursor bounded at [stop] inside a larger buffer — a PM table reading
+   a group in place, followed by the next layer's bytes — decodes and
+   fails exactly as one over a copy of the slice. *)
+let prop_cursor_stop_matches_copy =
+  QCheck.Test.make ~name:"Cursor ~stop = cursor over the copied slice" ~count:500
+    QCheck.(triple entry_arb small_nat (string_of_size Gen.(int_range 0 16)))
+    (fun (e, cut, junk) ->
+      let buf = Buffer.create 64 in
+      Util.Kv.encode buf e;
+      let raw = Buffer.contents buf in
+      let cut = cut mod (String.length raw + 1) in
+      let outcome c = match Util.Kv.decode_from c with d -> Ok (d, Util.Cursor.pos c) | exception Failure m -> Error m in
+      outcome (Util.Cursor.create ~stop:(3 + cut) ("pad" ^ raw ^ junk) 3)
+      = Result.map (fun (d, pos) -> (d, pos + 3)) (outcome (Util.Cursor.create (String.sub raw 0 cut) 0)))
 
 (* A length varint that decodes to a negative int (bit 62 set) is
    malformed input, not a string length. *)
@@ -686,10 +703,12 @@ let test_negative_length_rejected () =
   check Alcotest.bool "Kv.decode" true (fails (fun () -> Util.Kv.decode raw 0));
   check Alcotest.bool "find_from" true
     (fails (fun () ->
-         Util.Kv.find_from ~key_prefix:"" (Util.Cursor.create raw 0) ~count:1 "k"));
+         Util.Kv.find_from ~skip:0 ~key_hash:(Util.Kv.key_hash "k") (Util.Cursor.create raw 0)
+           ~count:1 "k"));
   check Alcotest.bool "find_sorted" true
     (fails (fun () ->
-         Util.Kv.find_sorted (Util.Cursor.create raw 0) ~count:1 "k" ~visit:ignore))
+         Util.Kv.find_sorted ~key_hash:(Util.Kv.key_hash "k") (Util.Cursor.create raw 0)
+           ~count:1 "k" ~visit:ignore))
 
 let test_kv_decode_truncated () =
   let raw = encode_all [ Util.Kv.entry ~key:"key-0001" ~seq:300 (String.make 200 'v') ] in
@@ -804,6 +823,7 @@ let () =
           qtest prop_kv_find_from;
           qtest prop_cursor_compare_string;
           qtest prop_kv_find_sorted;
+          qtest prop_cursor_stop_matches_copy;
           Alcotest.test_case "truncated entry raises" `Quick test_kv_decode_truncated;
           Alcotest.test_case "negative length rejected" `Quick test_negative_length_rejected;
         ] );
